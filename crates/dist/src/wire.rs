@@ -1,5 +1,5 @@
-//! Loopback-TCP transport for the parameter server, reusing
-//! `sgd-serve`'s bounded line framing.
+//! Loopback-TCP transport for the parameter server, running on
+//! `sgd-serve`'s shared line server and client ([`sgd_serve::framing`]).
 //!
 //! Protocol: one request per line, one response line per request. Every
 //! `f64` crosses the wire as the 16-hex-digit bit pattern of its IEEE
@@ -27,7 +27,7 @@
 //! line is an `ERR` response, never a panic, and this file is in the
 //! analyzer's panic-freedom and indexing-ban scope.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -37,7 +37,7 @@ use sgd_core::{
 };
 use sgd_linalg::CpuExec;
 use sgd_models::{Batch, Task};
-use sgd_serve::framing::{is_timeout, lock_tolerant, read_bounded_line, LineRead};
+use sgd_serve::framing::{self, lock_tolerant, LineClient};
 
 use crate::modeled::{epoch_order, DistConfig};
 use crate::server::{LeaseGrant, ParamServer, PushOutcome};
@@ -79,110 +79,62 @@ impl DistWireServer {
     /// Serves one accepted connection to completion.
     // analyzer: root(panic-freedom) -- wire request entry point: every byte a remote worker sends flows through here
     pub fn handle(&self, stream: TcpStream) -> std::io::Result<usize> {
-        stream.set_read_timeout(self.read_timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        self.serve_lines(reader, stream)
+        let (reader, writer) = framing::setup_connection(stream, self.read_timeout)?;
+        self.serve_lines(reader, writer)
     }
 
-    /// Accepts `connections` connections and serves each on its own
-    /// scoped thread (a worker connection is persistent, so every
-    /// connection needs a live thread). Returns total lines handled.
+    /// Accepts `connections` connections on the shared accept pool with
+    /// one scoped thread per connection (a worker connection is
+    /// persistent, so every connection needs a live thread). Returns
+    /// total lines handled.
     // analyzer: root(panic-freedom) -- wire request entry point: the accept loop serving untrusted connections
     pub fn serve_connections(
         &self,
         listener: &TcpListener,
         connections: usize,
     ) -> std::io::Result<usize> {
-        let handled = Mutex::new(0usize);
-        let first_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 0..connections {
-                let accepted = listener.accept();
-                s.spawn(|| match accepted.and_then(|(stream, _addr)| self.handle(stream)) {
-                    Ok(h) => *lock_tolerant(&handled) += h,
-                    Err(e) => {
-                        let mut slot = lock_tolerant(&first_err);
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                });
-            }
-        });
-        let err = lock_tolerant(&first_err).take();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(*lock_tolerant(&handled)),
-        }
+        framing::serve_connections(listener, connections, connections, |stream| self.handle(stream))
     }
 
     /// The transport-agnostic core: one request line in, one response
-    /// line out, through a bounded buffer. Ending the stream (EOF,
-    /// timeout, or error) with a joined worker that never sent `LEAVE`
-    /// revokes that worker's membership and leases — death-on-EOF.
+    /// line out, through the shared [`framing::serve_lines`] loop. Ending
+    /// the stream (EOF, timeout, or error) with a joined worker that never
+    /// sent `LEAVE` revokes that worker's membership and leases —
+    /// death-on-EOF.
     // analyzer: root(panic-freedom) -- wire request entry point: the per-line protocol core
     pub fn serve_lines<R: BufRead, W: Write>(
         &self,
-        mut reader: R,
-        mut writer: W,
+        reader: R,
+        writer: W,
     ) -> std::io::Result<usize> {
         use std::fmt::Write as _;
-        let mut handled = 0;
-        let mut line_buf: Vec<u8> = Vec::new();
-        let mut response = String::new();
+        // Per connection, not per request: the bound is a public field.
+        let too_long = format!("ERR line too long (max {} bytes)", self.max_line_bytes);
         // The worker this connection JOINed as, and whether it departed
         // cleanly; an unclean end revokes the membership below.
         let mut joined: Option<usize> = None;
         let mut departed = false;
-        let outcome = loop {
-            let read = match read_bounded_line(&mut reader, self.max_line_bytes, &mut line_buf) {
-                Ok(r) => r,
-                Err(e) if is_timeout(&e) => break Ok(handled),
-                Err(e) => break Err(e),
-            };
-            response.clear();
-            match read {
-                None => break Ok(handled),
-                Some(LineRead::TooLong) => {
-                    let _ =
-                        write!(response, "ERR line too long (max {} bytes)", self.max_line_bytes);
-                }
-                Some(LineRead::Line) => {
-                    let line = String::from_utf8_lossy(&line_buf);
-                    let line = line.trim_end_matches('\r');
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_request(line) {
-                        Ok(req) => {
-                            match &req {
-                                Request::Join { worker } => {
-                                    joined = Some(*worker);
-                                    departed = false;
-                                }
-                                Request::Leave { worker } if joined == Some(*worker) => {
-                                    departed = true;
-                                }
-                                _ => {}
+        let outcome =
+            framing::serve_lines(reader, writer, self.max_line_bytes, &too_long, |line, reply| {
+                match parse_request(line) {
+                    Ok(req) => {
+                        match &req {
+                            Request::Join { worker } => {
+                                joined = Some(*worker);
+                                departed = false;
                             }
-                            let reply = serve_request(&self.server, req);
-                            encode_reply(&reply, &mut response);
+                            Request::Leave { worker } if joined == Some(*worker) => {
+                                departed = true;
+                            }
+                            _ => {}
                         }
-                        Err(msg) => {
-                            let _ = write!(response, "ERR {msg}");
-                        }
+                        encode_reply(&serve_request(&self.server, req), reply);
+                    }
+                    Err(msg) => {
+                        let _ = write!(reply, "ERR {msg}");
                     }
                 }
-            }
-            let wrote = writer
-                .write_all(response.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .and_then(|()| writer.flush());
-            if let Err(e) = wrote {
-                break Err(e);
-            }
-            handled += 1;
-        };
+            });
         if let Some(worker) = joined {
             if !departed {
                 lock_tolerant(&self.server).leave(worker);
@@ -321,38 +273,23 @@ fn parse_reply(line: &str) -> Result<Reply, TransportError> {
 
 /// The TCP transport: one persistent connection per worker.
 pub struct DistWireClient {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    line: String,
+    conn: LineClient,
 }
 
 impl DistWireClient {
     /// Connects to a [`DistWireServer`].
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(DistWireClient { writer, reader, line: String::new() })
+        Ok(DistWireClient { conn: LineClient::connect(addr)? })
     }
 }
 
 impl Transport for DistWireClient {
     fn call(&mut self, req: Request) -> Result<Reply, TransportError> {
-        self.line.clear();
-        encode_request(&req, &mut self.line);
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| TransportError(format!("send failed: {e}")))?;
-        self.line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.line)
-            .map_err(|e| TransportError(format!("recv failed: {e}")))?;
-        if n == 0 {
-            return Err(TransportError("server closed the connection".to_string()));
-        }
-        parse_reply(self.line.trim_end())
+        let reply = self
+            .conn
+            .round_trip(|out| encode_request(&req, out))
+            .map_err(|e| TransportError(format!("wire: {e}")))?;
+        parse_reply(reply)
     }
 }
 
@@ -489,6 +426,8 @@ pub fn run_dist_wire<T: Task>(
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+
     use sgd_core::RunOutcome;
     use sgd_linalg::{Matrix, Scalar};
     use sgd_models::{lr, Examples};
@@ -637,5 +576,79 @@ mod tests {
             "three wire workers must reduce the loss"
         );
         assert!(!matches!(rep.outcome, RunOutcome::Diverged { .. }));
+    }
+
+    fn one_shard_server() -> Arc<Mutex<ParamServer>> {
+        let server = Arc::new(Mutex::new(ParamServer::new(
+            vec![0.0; 2],
+            0.1,
+            ConsistencyMode::Sync { grads_to_wait: 1 },
+            1,
+        )));
+        lock_tolerant(&server).begin_epoch(&[0]);
+        server
+    }
+
+    /// A `Write` that counts the calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_is_one_write() {
+        let mut front = DistWireServer::new(one_shard_server());
+        front.max_line_bytes = 16;
+        let script = format!("JOIN 0\nPULL\n{}\nNONSENSE\nLEAVE 0\n", "Z".repeat(64));
+        let mut out = CountingWriter::default();
+        let handled = front.serve_lines(BufReader::new(script.as_bytes()), &mut out).expect("io");
+        assert_eq!(handled, 5);
+        assert_eq!(out.writes, handled, "reply and terminator go out in one write");
+        let text = String::from_utf8(out.bytes).expect("utf8");
+        assert_eq!(text.lines().nth(2), Some("ERR line too long (max 16 bytes)"));
+    }
+
+    #[test]
+    fn the_client_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let client =
+            DistWireClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.conn.stream().nodelay().expect("nodelay"));
+    }
+
+    #[test]
+    fn a_dropped_socket_without_leave_frees_the_lease() {
+        let server = one_shard_server();
+        let front = DistWireServer::new(Arc::clone(&server));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|s| {
+            let serving = s.spawn(|| front.serve_connections(&listener, 1));
+            let mut client = DistWireClient::connect(addr).expect("connect");
+            assert!(matches!(client.call(Request::Join { worker: 4 }), Ok(Reply::Model { .. })));
+            assert_eq!(
+                client.call(Request::Lease { worker: 4 }).expect("lease"),
+                Reply::Lease(LeaseGrant::Shard(0))
+            );
+            drop(client);
+            assert_eq!(serving.join().expect("no panic").expect("serve"), 2);
+        });
+        let srv = lock_tolerant(&server);
+        assert_eq!(srv.live_workers(), 0, "the dropped socket revoked the membership");
+        assert_eq!(srv.stats().reassigned, 1, "the leased shard went back to the pool");
+        assert_eq!(srv.stats().leaves, 1);
     }
 }

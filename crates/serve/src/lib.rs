@@ -30,6 +30,8 @@
 //!   LIBSVM-formatted lines through `sgd-datagen`'s typed parser, with
 //!   bounded line buffers, read timeouts, an in-flight bound answering
 //!   `ERR BUSY retry_after=`, and typed backend-fault surfacing.
+//! - [`framing`]: the one TCP line server and line client that `wire`
+//!   and `sgd-dist`'s parameter-server transport both run on.
 
 #![warn(missing_docs)]
 

@@ -18,20 +18,17 @@
 //!   instead of a hang;
 //! * `ERR <detail>` — parse or registry failures.
 //!
-//! Hardening against hostile or stalled clients: request lines are read
-//! through a *bounded* buffer (a client that never sends `\n` can no
-//! longer grow server memory without limit), accepted connections get a
-//! read timeout (a silent client ends its connection instead of
-//! pinning a worker), and [`WireServer::serve_connections`] serves a
-//! small bounded pool of scoped worker threads so one stalled client
-//! cannot block every later connection.
+//! Transport — bounded line reads, read timeouts, `TCP_NODELAY`, the
+//! scoped accept pool and the client round trip — is the shared line
+//! server in [`crate::framing`]; this module supplies only the per-line
+//! answer.
 //!
 //! All wire bytes flow through `sgd-datagen`'s typed
 //! [`ParseError`](sgd_datagen::libsvm::ParseError) path — a malformed
 //! line is an `ERR` response, never a panic, and this file is in the
 //! analyzer's panic-freedom and indexing-ban scope.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -41,7 +38,7 @@ use sgd_datagen::libsvm;
 use sgd_linalg::{Exec, Scalar};
 use sgd_models::Examples;
 
-use crate::framing::{is_timeout, lock_tolerant, read_bounded_line, LineRead};
+use crate::framing::{self, lock_tolerant, LineClient};
 use crate::model::ServableModel;
 use crate::registry::ModelRegistry;
 
@@ -151,9 +148,8 @@ impl<'a> WireServer<'a> {
     /// handled.
     // analyzer: root(panic-freedom) -- wire request entry point: every byte a client sends flows through here
     pub fn handle(&self, stream: TcpStream) -> std::io::Result<usize> {
-        stream.set_read_timeout(self.config.read_timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        self.serve_lines(reader, stream)
+        let (reader, writer) = framing::setup_connection(stream, self.config.read_timeout)?;
+        self.serve_lines(reader, writer)
     }
 
     /// Accepts `connections` connections and serves them on a small
@@ -166,86 +162,32 @@ impl<'a> WireServer<'a> {
         listener: &TcpListener,
         connections: usize,
     ) -> std::io::Result<usize> {
-        let workers = self.config.workers.max(1).min(connections.max(1));
-        let handled = Mutex::new(0usize);
-        let claimed = Mutex::new(0usize);
-        let first_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    {
-                        let mut n = lock_tolerant(&claimed);
-                        if *n >= connections {
-                            break;
-                        }
-                        *n += 1;
-                    }
-                    match listener.accept().and_then(|(stream, _addr)| self.handle(stream)) {
-                        Ok(h) => *lock_tolerant(&handled) += h,
-                        Err(e) => {
-                            let mut slot = lock_tolerant(&first_err);
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let outcome = match lock_tolerant(&first_err).take() {
-            Some(e) => Err(e),
-            None => Ok(*lock_tolerant(&handled)),
-        };
-        outcome
+        framing::serve_connections(listener, connections, self.config.workers, |stream| {
+            self.handle(stream)
+        })
     }
 
-    /// The transport-agnostic core: reads request lines from `reader`
-    /// through a bounded buffer, writes one response line each to
-    /// `writer`. A read timeout ends the connection cleanly (`Ok`);
-    /// other I/O errors propagate.
+    /// The transport-agnostic core: answers each request line from
+    /// `reader` with one response line to `writer`, through the shared
+    /// [`framing::serve_lines`] loop (bounded reads; a read timeout ends
+    /// the connection cleanly, other I/O errors propagate).
     // analyzer: root(panic-freedom) -- wire request entry point: the per-line protocol core
     // analyzer: root(hot-path-alloc) -- per-request reply path: shed/busy replies must not allocate under overload
     pub fn serve_lines<R: BufRead, W: Write>(
         &self,
-        mut reader: R,
-        mut writer: W,
+        reader: R,
+        writer: W,
     ) -> std::io::Result<usize> {
-        let mut handled = 0;
-        // Per-connection scratch, reused across every request line.
-        // analyzer: allow(hot-path-alloc) -- one buffer per connection, reused across requests
-        let mut line_buf: Vec<u8> = Vec::new();
-        // analyzer: allow(hot-path-alloc) -- one response buffer per connection, reused across requests
-        let mut response = String::new();
-        loop {
-            let read =
-                match read_bounded_line(&mut reader, self.config.max_line_bytes, &mut line_buf) {
-                    Ok(r) => r,
-                    Err(e) if is_timeout(&e) => break,
-                    Err(e) => return Err(e),
-                };
-            response.clear();
-            match read {
-                None => break,
-                Some(LineRead::TooLong) => response.push_str(&self.too_long_reply),
-                Some(LineRead::Line) => {
-                    let line = String::from_utf8_lossy(&line_buf);
-                    let line = line.trim_end_matches('\r');
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match self.try_acquire() {
-                        None => response.push_str(&self.busy_reply),
-                        Some(_inflight) => self.score_line_into(line, &mut response),
-                    }
-                }
-            }
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            handled += 1;
-        }
-        Ok(handled)
+        framing::serve_lines(
+            reader,
+            writer,
+            self.config.max_line_bytes,
+            &self.too_long_reply,
+            |line, reply| match self.try_acquire() {
+                None => reply.push_str(&self.busy_reply),
+                Some(_inflight) => self.score_line_into(line, reply),
+            },
+        )
     }
 
     /// Claims an in-flight slot, or `None` past the bound.
@@ -336,8 +278,7 @@ pub enum WireResponse {
 /// retry-with-backoff mode that honors `ERR BUSY retry_after=` hints
 /// and retries transient backend faults.
 pub struct WireClient {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: LineClient,
     /// Retries [`WireClient::score_with_retry`] attempts past the first.
     pub max_retries: usize,
     /// Base back-off between fault retries (doubles each attempt);
@@ -348,19 +289,16 @@ pub struct WireClient {
 impl WireClient {
     /// Connects to a wire server.
     pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<Self> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(WireClient { writer, reader, max_retries: 3, backoff: Duration::from_millis(10) })
+        let conn = LineClient::connect(addr)?;
+        Ok(WireClient { conn, max_retries: 3, backoff: Duration::from_millis(10) })
     }
 
-    /// Sends one LIBSVM request line, returns the parsed response.
+    /// Sends one LIBSVM request line, returns the parsed response. A
+    /// server that closes the connection instead of replying is
+    /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn score(&mut self, line: &str) -> std::io::Result<WireResponse> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        self.reader.read_line(&mut response)?;
-        Ok(parse_response(response.trim_end()))
+        let reply = self.conn.round_trip(|out| out.push_str(line))?;
+        Ok(parse_response(reply))
     }
 
     /// Sends one request, retrying `ERR BUSY` (after the server's
@@ -419,7 +357,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
     use crate::model::{ServableModel, TaskDescriptor};
-    use std::io::{BufWriter, Read};
+    use std::io::{BufReader, BufWriter};
 
     fn registry_with_lr(weights: Vec<f64>) -> ModelRegistry {
         let reg = ModelRegistry::new();
@@ -524,15 +462,12 @@ mod tests {
         std::thread::scope(|s| {
             let server =
                 s.spawn(|| WireServer::with_config(&reg, "m", cfg).serve_connections(&listener, 1));
-            let mut conn = TcpStream::connect(addr).expect("connect");
-            conn.write_all(b"+1 1:3\n").expect("write");
-            let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            assert_eq!(line.trim(), "OK 3");
-            // Send nothing more: the server must time out and return Ok
-            // instead of pinning the worker forever.
+            let mut client = WireClient::connect(addr).expect("connect");
+            assert_eq!(client.score("+1 1:3").expect("score"), WireResponse::Ok(3.0));
+            // Send nothing more, keeping the connection open: the server
+            // must time out and return Ok instead of pinning the worker.
             assert_eq!(server.join().expect("no panic").expect("clean timeout"), 1);
+            drop(client);
         });
     }
 
@@ -613,13 +548,8 @@ mod tests {
             let server = s.spawn(|| {
                 WireServer::new(&reg, "m").serve_connections(&listener, 1).expect("serve")
             });
-            let mut conn = TcpStream::connect(addr).expect("connect");
-            let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-            let mut line = String::new();
-
-            conn.write_all(b"+1 1:2\n").expect("write");
-            reader.read_line(&mut line).expect("read");
-            assert_eq!(line.trim(), "OK 2");
+            let mut client = WireClient::connect(addr).expect("connect");
+            assert_eq!(client.score("+1 1:2").expect("score"), WireResponse::Ok(2.0));
 
             // Hot-swap the model mid-connection: the next request sees it.
             let ck =
@@ -627,18 +557,55 @@ mod tests {
                     .expect("dims");
             reg.publish("m", ServableModel::from_checkpoint(&ck).expect("valid"), 1, 0.1);
 
-            line.clear();
-            conn.write_all(b"+1 1:2\n").expect("write");
-            reader.read_line(&mut line).expect("read");
-            assert_eq!(line.trim(), "OK 20", "hot-swapped weights serve immediately");
+            assert_eq!(
+                client.score("+1 1:2").expect("score"),
+                WireResponse::Ok(20.0),
+                "hot-swapped weights serve immediately"
+            );
 
-            // The reader holds a cloned FD, so dropping `conn` alone
-            // would not deliver EOF to the server — shut down the socket's
-            // write half explicitly.
-            conn.shutdown(std::net::Shutdown::Write).expect("shutdown");
-            let mut rest = String::new();
-            reader.read_to_string(&mut rest).ok();
+            // Dropping the client closes both of its handles: EOF.
+            drop(client);
             assert_eq!(server.join().expect("no panic"), 2);
         });
+    }
+
+    /// A `Write` that counts the calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_is_one_write() {
+        let reg = registry_with_lr(vec![1.0, 2.0]);
+        let cfg = WireConfig { max_line_bytes: 16, ..WireConfig::default() };
+        let srv = WireServer::with_config(&reg, "m", cfg);
+        let long = "a".repeat(64);
+        let input = format!("+1 1:1\n{long}\nbad\n+1 2:1\n");
+        let mut out = CountingWriter::default();
+        let handled = srv.serve_lines(BufReader::new(input.as_bytes()), &mut out).expect("io");
+        assert_eq!(handled, 4);
+        assert_eq!(out.writes, handled, "reply and terminator go out in one write");
+        assert_eq!(String::from_utf8(out.bytes).expect("utf8").lines().count(), 4);
+    }
+
+    #[test]
+    fn the_client_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let client = WireClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.conn.stream().nodelay().expect("nodelay"));
     }
 }
