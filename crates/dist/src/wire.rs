@@ -1,16 +1,26 @@
 //! Loopback-TCP transport for the parameter server, running on
 //! `sgd-serve`'s shared line server and client ([`sgd_serve::framing`]).
 //!
-//! Protocol: one request per line, one response line per request. Every
-//! `f64` crosses the wire as the 16-hex-digit bit pattern of its IEEE
-//! encoding (`{:016x}` of `to_bits`), so a value survives the round
-//! trip *bitwise* — the property the 1-worker parity pin against the
-//! modeled cluster rests on.
+//! Protocol: one request per line, one response line per request. A
+//! weight or gradient vector (`<vec>` below) is written by one codec,
+//! `encode_vec` / `parse_vec`, in both directions:
 //!
-//! * `JOIN <worker>` / `PULL` → `MODEL <version> <hex>...`
+//! * a coordinate whose bit pattern is not +0.0 is ` <16 hex digits>`,
+//!   the `{:016x}` image of `to_bits`;
+//! * each maximal run of `n` +0.0 coordinates is one token ` z<n>`
+//!   (decimal, no leading zeros).
+//!
+//! Every value therefore survives the round trip *bitwise* — `-0.0`,
+//! NaN payloads and subnormals are written explicitly — which the
+//! 1-worker parity pin against the modeled cluster rests on. A dense
+//! vector encodes to exactly 17 bytes per weight; a sparse one costs 17
+//! bytes per nonzero plus one short token per zero run, so a line's
+//! size tracks the model's nonzeros, not its dimension.
+//!
+//! * `JOIN <worker>` / `PULL` → `MODEL <version> <vec>`
 //! * `LEASE <worker>` → `LEASE SHARD <id>` | `LEASE DRAINED` |
 //!   `LEASE SHUTDOWN`
-//! * `PUSH <worker> <version> <shard> <hex>...` →
+//! * `PUSH <worker> <version> <shard> <vec>` →
 //!   `PUSHED APPLIED <version>` | `PUSHED ACC` | `PUSHED STALE <current>`
 //!   | `PUSHED DW <version> <staleness>`
 //! * `LEAVE <worker>` → `LEFT`
@@ -25,7 +35,10 @@
 //!
 //! Every wire byte flows through bounded, typed parsing: a malformed
 //! line is an `ERR` response, never a panic, and this file is in the
-//! analyzer's panic-freedom and indexing-ban scope.
+//! analyzer's panic-freedom and indexing-ban scope. A decoded vector's
+//! length is bounded before anything is allocated for it: a `PUSH`
+//! must match the model dimension exactly, and a `MODEL` reply may not
+//! exceed `MAX_MODEL_DIM`.
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,7 +48,7 @@ use std::time::{Duration, Instant};
 use sgd_core::{
     EpochMetrics, LossTrace, NullObserver, Recorder, RunOptions, RunReport, Supervisor,
 };
-use sgd_linalg::CpuExec;
+use sgd_linalg::{CpuExec, Scalar};
 use sgd_models::{Batch, Task};
 use sgd_serve::framing::{self, lock_tolerant, LineClient};
 
@@ -45,6 +58,10 @@ use crate::shard::make_shards;
 use crate::transport::{serve_request, Reply, Request, Transport, TransportError};
 use crate::worker::{DistWorker, WorkerStep};
 
+/// Longest vector a client accepts in a `MODEL` reply: above news20's
+/// d = 1,355,191, the widest of the paper's datasets.
+const MAX_MODEL_DIM: usize = 1 << 21;
+
 /// How often wire-run threads poll for state they wait on (epoch
 /// completion, a drained lease pool).
 const POLL: Duration = Duration::from_micros(200);
@@ -52,8 +69,9 @@ const POLL: Duration = Duration::from_micros(200);
 /// The TCP front-end of one [`ParamServer`].
 pub struct DistWireServer {
     server: Arc<Mutex<ParamServer>>,
-    /// Longest accepted request line, bytes (a model of dimension `d`
-    /// takes 17 bytes per weight on the wire).
+    /// Longest accepted request line, bytes. A `PUSH` takes 17 bytes per
+    /// nonzero gradient component plus a short token per zero run, so
+    /// the bound caps the nonzeros a line may carry, not the dimension.
     pub max_line_bytes: usize,
     /// Read timeout installed on accepted connections; an idle worker
     /// connection past it counts as a death (`None` = wait forever).
@@ -61,8 +79,8 @@ pub struct DistWireServer {
 }
 
 impl DistWireServer {
-    /// A front-end over `server` with defaults sized for models up to
-    /// ~250k weights per line.
+    /// A front-end over `server` with a 4 MiB line cap: gradients of up
+    /// to ~250k nonzeros per `PUSH`, at any model dimension.
     pub fn new(server: Arc<Mutex<ParamServer>>) -> Self {
         DistWireServer {
             server,
@@ -110,13 +128,18 @@ impl DistWireServer {
         use std::fmt::Write as _;
         // Per connection, not per request: the bound is a public field.
         let too_long = format!("ERR line too long (max {} bytes)", self.max_line_bytes);
+        // The model dimension never changes: a PUSH must match it exactly.
+        let dim = {
+            let srv = lock_tolerant(&self.server);
+            srv.model().len()
+        };
         // The worker this connection JOINed as, and whether it departed
         // cleanly; an unclean end revokes the membership below.
         let mut joined: Option<usize> = None;
         let mut departed = false;
         let outcome =
             framing::serve_lines(reader, writer, self.max_line_bytes, &too_long, |line, reply| {
-                match parse_request(line) {
+                match parse_request(line, dim) {
                     Ok(req) => {
                         match &req {
                             Request::Join { worker } => {
@@ -154,14 +177,94 @@ fn parse_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
     tok.ok_or_else(|| format!("missing {what}"))?.parse::<u64>().map_err(|_| format!("bad {what}"))
 }
 
-/// A weight or gradient component: 16 hex digits of the `f64` bit
-/// pattern.
-fn parse_hex_f64(tok: &str) -> Result<f64, String> {
-    u64::from_str_radix(tok, 16).map(f64::from_bits).map_err(|_| format!("bad hex f64 '{tok}'"))
+/// Appends `v` in the zero-run form: ` <16 hex digits>` per coordinate
+/// whose bits are not +0.0, ` z<n>` per maximal run of `n` +0.0s.
+fn encode_vec(v: &[Scalar], out: &mut String) {
+    use std::fmt::Write as _;
+    let mut zeros = 0usize;
+    for x in v {
+        let bits = x.to_bits();
+        if bits == 0 {
+            zeros += 1;
+            continue;
+        }
+        if zeros > 0 {
+            let _ = write!(out, " z{zeros}");
+            zeros = 0;
+        }
+        out.push(' ');
+        for shift in (0..16).rev() {
+            // Lossless: the mask keeps one nibble.
+            let nibble = ((bits >> (shift * 4)) & 0xf) as u8;
+            let digit = if nibble < 10 { b'0' + nibble } else { b'a' - 10 + nibble };
+            out.push(char::from(digit));
+        }
+    }
+    if zeros > 0 {
+        let _ = write!(out, " z{zeros}");
+    }
 }
 
-/// Parses one wire request line.
-fn parse_request(line: &str) -> Result<Request, String> {
+/// Decodes the zero-run form from the remaining tokens of a line. The
+/// running length is checked against `max_len` before each token is
+/// expanded, so a hostile `z<huge>` never allocates.
+fn parse_vec<'a>(
+    toks: impl Iterator<Item = &'a str>,
+    max_len: usize,
+) -> Result<Vec<Scalar>, String> {
+    let mut v = Vec::new();
+    for tok in toks {
+        let (n, value) = match tok.strip_prefix('z') {
+            Some(digits) => {
+                (parse_run(digits.as_bytes()).ok_or_else(|| format!("bad zero run '{tok}'"))?, 0.0)
+            }
+            None => {
+                let bits =
+                    parse_hex(tok.as_bytes()).ok_or_else(|| format!("bad hex f64 '{tok}'"))?;
+                (1, f64::from_bits(bits))
+            }
+        };
+        if n > max_len.saturating_sub(v.len()) {
+            return Err(format!("vector longer than {max_len}"));
+        }
+        v.resize(v.len() + n, value);
+    }
+    Ok(v)
+}
+
+/// Exactly 16 hex digits (either case) → the bit pattern.
+fn parse_hex(tok: &[u8]) -> Option<u64> {
+    if tok.len() != 16 {
+        return None;
+    }
+    tok.iter().try_fold(0u64, |acc, &b| {
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            b'A'..=b'F' => b - b'A' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(nibble))
+    })
+}
+
+/// A positive decimal count without leading zeros; `None` on overflow.
+fn parse_run(digits: &[u8]) -> Option<usize> {
+    match digits.first() {
+        Some(b'1'..=b'9') => {}
+        _ => return None,
+    }
+    digits.iter().try_fold(0usize, |acc, &b| {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(usize::from(b - b'0'))
+    })
+}
+
+/// Parses one wire request line; a `PUSH` must carry exactly `dim`
+/// components.
+fn parse_request(line: &str, dim: usize) -> Result<Request, String> {
     let mut toks = line.split_whitespace();
     let verb = toks.next().ok_or_else(|| "empty request".to_string())?;
     match verb {
@@ -172,7 +275,10 @@ fn parse_request(line: &str) -> Result<Request, String> {
             let worker = parse_usize(toks.next(), "worker id")?;
             let version = parse_u64(toks.next(), "version")?;
             let shard = parse_usize(toks.next(), "shard id")?;
-            let grad = toks.map(parse_hex_f64).collect::<Result<Vec<_>, _>>()?;
+            let grad = parse_vec(toks, dim)?;
+            if grad.len() != dim {
+                return Err(format!("push of {} components, model has {dim}", grad.len()));
+            }
             Ok(Request::Push { worker, version, shard, grad })
         }
         "LEAVE" => Ok(Request::Leave { worker: parse_usize(toks.next(), "worker id")? }),
@@ -186,9 +292,7 @@ fn encode_reply(reply: &Reply, out: &mut String) {
     match reply {
         Reply::Model { version, model } => {
             let _ = write!(out, "MODEL {version}");
-            for v in model {
-                let _ = write!(out, " {:016x}", v.to_bits());
-            }
+            encode_vec(model, out);
         }
         Reply::Lease(LeaseGrant::Shard(s)) => {
             let _ = write!(out, "LEASE SHARD {s}");
@@ -222,9 +326,7 @@ fn encode_request(req: &Request, out: &mut String) {
         }
         Request::Push { worker, version, shard, grad } => {
             let _ = write!(out, "PUSH {worker} {version} {shard}");
-            for g in grad {
-                let _ = write!(out, " {:016x}", g.to_bits());
-            }
+            encode_vec(grad, out);
         }
         Request::Leave { worker } => {
             let _ = write!(out, "LEAVE {worker}");
@@ -239,8 +341,7 @@ fn parse_reply(line: &str) -> Result<Reply, TransportError> {
     match toks.next() {
         Some("MODEL") => {
             let version = parse_u64(toks.next(), "version").map_err(TransportError)?;
-            let model =
-                toks.map(parse_hex_f64).collect::<Result<Vec<_>, _>>().map_err(TransportError)?;
+            let model = parse_vec(toks, MAX_MODEL_DIM).map_err(TransportError)?;
             Ok(Reply::Model { version, model })
         }
         Some("LEASE") => match toks.next() {
@@ -428,8 +529,11 @@ pub fn run_dist_wire<T: Task>(
 mod tests {
     use std::io::BufReader;
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sgd_core::RunOutcome;
-    use sgd_linalg::{Matrix, Scalar};
+    use sgd_datagen::{generate, DatasetProfile, GenOptions};
+    use sgd_linalg::{CsrMatrix, Matrix};
     use sgd_models::{lr, Examples};
 
     use super::*;
@@ -530,11 +634,10 @@ mod tests {
         assert_eq!(lock_tolerant(&server).stats().leaves, 1, "one leave, not two");
     }
 
-    #[test]
-    fn one_worker_wire_run_matches_the_modeled_trajectory_bitwise() {
-        let (x, y) = fixture();
-        let batch = Batch::new(Examples::Dense(&x), &y);
-        let task = lr(5);
+    /// Runs one worker over the wire and through the modeled cluster and
+    /// asserts bitwise-equal loss trajectories.
+    fn assert_one_worker_wire_matches_modeled(batch: &Batch<'_>, d: usize) {
+        let task = lr(d);
         let cfg = DistConfig {
             workers: 1,
             shards: 3,
@@ -542,8 +645,8 @@ mod tests {
             ..Default::default()
         };
         let opts = RunOptions { max_epochs: 4, plateau: None, ..Default::default() };
-        let modeled = run_dist_modeled(&task, &batch, &cfg, 0.4, &opts);
-        let wire = run_dist_wire(&task, &batch, &cfg, 0.4, &opts).expect("loopback run");
+        let modeled = run_dist_modeled(&task, batch, &cfg, 0.4, &opts);
+        let wire = run_dist_wire(&task, batch, &cfg, 0.4, &opts).expect("loopback run");
         assert_eq!(wire.trace.points().len(), modeled.trace.points().len());
         for (w, m) in wire.trace.points().iter().zip(modeled.trace.points()) {
             assert_eq!(
@@ -552,6 +655,56 @@ mod tests {
                 "wire and modeled single-worker losses must agree bitwise"
             );
         }
+    }
+
+    #[test]
+    fn one_worker_wire_run_matches_the_modeled_trajectory_bitwise() {
+        let (x, y) = fixture();
+        assert_one_worker_wire_matches_modeled(&Batch::new(Examples::Dense(&x), &y), 5);
+    }
+
+    #[test]
+    fn one_worker_sparse_wire_run_matches_the_modeled_trajectory_bitwise() {
+        // 64 features, of which rows touch only the first 8: the model's
+        // other 56 coordinates stay +0.0 and cross the wire as zero runs,
+        // and each shard's gradient is zero outside its rows' features.
+        let (n, d) = (24, 64);
+        let rows: Vec<Vec<(u32, Scalar)>> = (0..n)
+            .map(|i| {
+                let s = if i % 2 == 0 { 1.0 } else { -1.0 };
+                let a = (i % 8) as u32;
+                let b = ((i * 3 + 1) % 8) as u32;
+                let mut r = vec![(a, s * 0.75), (b, s * (1.0 + i as Scalar) / 16.0)];
+                r.sort_by_key(|e| e.0);
+                r.dedup_by_key(|e| e.0);
+                r
+            })
+            .collect();
+        let x = CsrMatrix::from_row_entries(n, d, &rows);
+        let y: Vec<Scalar> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        assert_one_worker_wire_matches_modeled(&Batch::new(Examples::Sparse(&x), &y), d);
+    }
+
+    #[test]
+    fn news_trains_over_the_wire() {
+        // d = 1,355,191: a dense PUSH line (~23 MB) would exceed the 4 MiB
+        // line cap, so this dataset trains over the wire only because a
+        // line carries nonzeros, not the dimension.
+        let ds = generate(&DatasetProfile::news(), &GenOptions::at_scale(0.005));
+        assert_eq!(ds.d(), 1_355_191);
+        let batch = Batch::new(Examples::Sparse(&ds.x), &ds.y);
+        let task = lr(ds.d());
+        let cfg = DistConfig {
+            workers: 2,
+            shards: 4,
+            mode: ConsistencyMode::Sync { grads_to_wait: 2 },
+            ..Default::default()
+        };
+        let opts = RunOptions { max_epochs: 3, plateau: None, ..Default::default() };
+        let rep = run_dist_wire(&task, &batch, &cfg, 8.0, &opts).expect("loopback run");
+        assert_eq!(rep.trace.epochs(), 3, "ended {}", rep.outcome.label());
+        let pts = rep.trace.points();
+        assert!(pts.windows(2).all(|w| w[1].1 < w[0].1), "loss must fall every epoch: {pts:?}");
     }
 
     #[test]
@@ -650,5 +803,144 @@ mod tests {
         assert_eq!(srv.live_workers(), 0, "the dropped socket revoked the membership");
         assert_eq!(srv.stats().reassigned, 1, "the leased shard went back to the pool");
         assert_eq!(srv.stats().leaves, 1);
+    }
+
+    fn round_trip(v: &[Scalar]) -> Vec<Scalar> {
+        let mut line = String::new();
+        encode_vec(v, &mut line);
+        parse_vec(line.split_whitespace(), MAX_MODEL_DIM).expect("own encoding parses")
+    }
+
+    fn assert_bitwise(a: &[Scalar], b: &[Scalar]) {
+        let bits = |v: &[Scalar]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn the_codec_round_trips_bitwise() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_1234);
+        let snan = f64::from_bits(0x7ff0_0000_0000_0001);
+        let sub = f64::from_bits(1);
+        let cases: Vec<Vec<Scalar>> = vec![
+            vec![],
+            vec![0.0],
+            vec![0.0; 1000],
+            vec![0.0, 0.0, 1.5],
+            vec![1.5, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0, 0.0, -2.0, 0.0],
+            vec![1.0, -2.0, 3.0],
+            vec![-0.0, 0.0, -0.0, -0.0],
+            vec![nan, snan, -nan, 0.0, f64::INFINITY, f64::NEG_INFINITY],
+            vec![sub, -sub, f64::MIN_POSITIVE / 2.0, 0.0, f64::MAX, f64::MIN],
+        ];
+        for v in &cases {
+            assert_bitwise(&round_trip(v), v);
+        }
+        let mut line = String::new();
+        encode_vec(&[0.0, 0.0, -0.0, 0.0], &mut line);
+        assert_eq!(line, " z2 8000000000000000 z1", "-0.0 is explicit, +0.0 runs are one token");
+    }
+
+    #[test]
+    fn a_dense_vector_encodes_as_plain_hex() {
+        let v: Vec<Scalar> = (0..257).map(|i| (i as Scalar + 1.0) * -0.37).collect();
+        let mut line = String::new();
+        encode_vec(&v, &mut line);
+        let plain: String = v.iter().map(|x| format!(" {:016x}", x.to_bits())).collect();
+        assert_eq!(line, plain);
+    }
+
+    #[test]
+    fn a_sparse_vector_costs_its_nonzeros_and_runs() {
+        let d = 1_355_191;
+        let mut v = vec![0.0; d];
+        for j in (0..d).step_by(9973).chain([1, 2, 3, d - 1]) {
+            v[j] = j as Scalar + 0.5;
+        }
+        let k = v.iter().filter(|x| x.to_bits() != 0).count();
+        let r = v.windows(2).filter(|w| w[0].to_bits() != 0 && w[1].to_bits() == 0).count()
+            + usize::from(v[0].to_bits() == 0);
+        let mut line = String::new();
+        encode_vec(&v, &mut line);
+        assert!(line.len() <= 17 * k + 12 * r, "{} bytes for k = {k}, r = {r}", line.len());
+        assert_bitwise(&round_trip(&v), &v);
+    }
+
+    #[test]
+    fn seeded_random_vectors_round_trip_canonically() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+        for _ in 0..300 {
+            let len: usize = rng.gen_range(0..400);
+            let v: Vec<Scalar> = (0..len)
+                .map(|_| match rng.gen_range(0u32..6) {
+                    0..=2 => 0.0,
+                    3 => -0.0,
+                    4 => f64::from_bits(rng.gen::<u64>()),
+                    _ => rng.gen::<f64>() - 0.5,
+                })
+                .collect();
+            let back = round_trip(&v);
+            assert_bitwise(&back, &v);
+            let (mut a, mut b) = (String::new(), String::new());
+            encode_vec(&v, &mut a);
+            encode_vec(&back, &mut b);
+            assert_eq!(a, b, "re-encoding is byte-identical");
+        }
+    }
+
+    #[test]
+    fn malformed_vector_tokens_are_typed_errors() {
+        let bad = [
+            "z",
+            "z0",
+            "zq",
+            "z-1",
+            "z+1",
+            "z07",
+            "z1x",
+            "z99999999999999999999999",
+            "3ff00000000000",
+            "3ff000000000000",
+            "3ff00000000000000",
+            "3ff000000000000g",
+            "+3ff000000000000",
+            "-3ff000000000000",
+            "3ff00000000000é",
+            "Z1",
+        ];
+        for tok in bad {
+            assert!(parse_vec(std::iter::once(tok), MAX_MODEL_DIM).is_err(), "{tok} accepted");
+            let reply = format!("MODEL 0 {tok}");
+            assert!(parse_reply(&reply).is_err(), "{reply} accepted");
+        }
+        assert!(parse_vec(["z3", "z2"].into_iter(), 4).is_err(), "runs past the bound");
+        assert!(parse_vec(["z3", "3ff0000000000000"].into_iter(), 3).is_err());
+        assert_eq!(
+            parse_vec(["z3", "3FF0000000000000"].into_iter(), 4),
+            Ok(vec![0.0, 0.0, 0.0, 1.0])
+        );
+    }
+
+    #[test]
+    fn a_push_of_the_wrong_length_is_an_error_and_the_shard_stays_leased() {
+        let server = one_shard_server();
+        let front = DistWireServer::new(Arc::clone(&server));
+        let one = hex(1.0);
+        let script = format!(
+            "JOIN 0\nLEASE 0\nPUSH 0 0 0 {one}\nPUSH 0 0 0 {one} {one} {one}\n\
+             PUSH 0 0 0 z99999999999\nPUSH 0 0 0 z3\nPUSH 0 0 0 z1 {one}\n"
+        );
+        let mut out = Vec::new();
+        front.serve_lines(BufReader::new(script.as_bytes()), &mut out).expect("io");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 7);
+        for bad in &lines[2..6] {
+            assert!(bad.starts_with("ERR "), "wrong-length push must be refused: {bad}");
+        }
+        assert_eq!(lines[6], "PUSHED APPLIED 1", "the shard was still leased and unapplied");
+        let srv = lock_tolerant(&server);
+        assert_eq!(srv.model(), &[0.0, -0.1], "only the well-formed push applied");
+        assert!(srv.epoch_done());
     }
 }
