@@ -262,7 +262,8 @@ pub fn straggler_comparison(rows: &[PsCell]) -> Vec<(&PsCell, &PsCell)> {
 /// 1. bit-determinism: the full sweep re-run agrees on every modeled
 ///    time and loss bitwise;
 /// 2. single-node anchor: the 1-worker 1-shard sync cluster reproduces
-///    `run_sync_modeled`'s loss trajectory bit for bit;
+///    the single-node modeled sync `Engine::run` loss trajectory bit for
+///    bit;
 /// 3. the straggler contrast: at every >= 4-worker point, async
 ///    time-per-epoch degrades strictly less than sync;
 /// 4. elasticity: a death+rejoin run at >= 2 workers reaches a

@@ -15,7 +15,8 @@
 //! in CI as part of `serve --check`.
 
 use sgd_serve::{
-    open_loop_arrivals, run_open_loop, BatchPolicy, ServeBackend, ServeTiming, Server,
+    open_loop_arrivals, open_requests, run_admitted, AdmissionPolicy, BatchPolicy, ClosedClients,
+    ComputeService, ServeBackend, ServeTiming, Server,
 };
 
 use crate::cli::ExperimentConfig;
@@ -119,7 +120,15 @@ fn router_cell(
 ) -> RouterRow {
     let mut srv = contender.server();
     let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
-    let o = run_open_loop(&mut srv, model, pool, &policy, arrivals);
+    let mut svc = ComputeService::new(&mut srv, model, pool);
+    let open = open_requests(arrivals);
+    let o = run_admitted(
+        &mut svc,
+        &policy,
+        &AdmissionPolicy::unbounded(),
+        &open,
+        &ClosedClients::none(),
+    );
     let mut dispatched = [0usize; 3];
     for label in &o.batch_backends {
         if let Some(i) = candidates().iter().position(|b| &b.label() == label) {

@@ -13,8 +13,9 @@
 
 use sgd_core::{Configuration, DeviceKind, Engine, RunOptions, Strategy, Timing};
 use sgd_serve::{
-    open_loop_arrivals, run_open_loop, BatchPolicy, Checkpoint, CheckpointPublisher, ModelRegistry,
-    RequestPool, ServableModel, ServeBackend, ServeOutcome, ServeTiming, Server, TaskDescriptor,
+    open_loop_arrivals, open_requests, run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint,
+    CheckpointPublisher, ClosedClients, ComputeService, ModelRegistry, RequestPool, ServableModel,
+    ServeBackend, ServeOutcome, ServeTiming, Server, TaskDescriptor,
 };
 
 use crate::cli::ExperimentConfig;
@@ -101,11 +102,12 @@ pub fn request_pool(p: &Prepared) -> RequestPool {
 /// that anchors the offered load (shared with the router sweep).
 pub fn probe_service_secs(backend: ServeBackend, model: &ServableModel, pool: &RequestPool) -> f64 {
     let mut srv = Server::new(backend, ServeTiming::Modeled);
-    let out = run_open_loop(&mut srv, model, pool, &BatchPolicy::unbatched(), &[0.0]);
-    out.service_secs.max(1e-9)
+    let (_, secs) = srv.predict(model, &pool.assemble(&[0]).examples());
+    secs.max(1e-9)
 }
 
-/// Runs one cell of the sweep.
+/// Runs one cell of the sweep: open-loop `arrivals` (request `i` scores
+/// pool row `i`) through the batcher, shedding nothing.
 fn serve_cell(
     backend: ServeBackend,
     model: &ServableModel,
@@ -114,8 +116,10 @@ fn serve_cell(
     arrivals: &[f64],
 ) -> ServeOutcome {
     let mut srv = Server::new(backend, ServeTiming::Modeled);
+    let mut svc = ComputeService::new(&mut srv, model, pool);
     let policy = BatchPolicy::new(batch, MAX_WAIT_SECS);
-    run_open_loop(&mut srv, model, pool, &policy, arrivals)
+    let open = open_requests(arrivals);
+    run_admitted(&mut svc, &policy, &AdmissionPolicy::unbounded(), &open, &ClosedClients::none())
 }
 
 /// Runs the sweep: every selected dataset × backend × batch size, at an
@@ -268,11 +272,8 @@ pub fn check(cfg: &ExperimentConfig) -> Result<(), String> {
         let served = ServableModel::from_checkpoint(&reloaded).map_err(|e| e.to_string())?;
         let arrivals = vec![0.0; 32];
         for backend in backends() {
-            let pol = BatchPolicy::new(8, MAX_WAIT_SECS);
-            let mut s1 = Server::new(backend, ServeTiming::Modeled);
-            let mut s2 = Server::new(backend, ServeTiming::Modeled);
-            let live = run_open_loop(&mut s1, &model, &pool, &pol, &arrivals);
-            let cold = run_open_loop(&mut s2, &served, &pool, &pol, &arrivals);
+            let live = serve_cell(backend, &model, &pool, 8, &arrivals);
+            let cold = serve_cell(backend, &served, &pool, 8, &arrivals);
             for (i, (x, y)) in live.decisions.iter().zip(&cold.decisions).enumerate() {
                 if x.to_bits() != y.to_bits() {
                     return Err(format!(

@@ -21,13 +21,13 @@ use std::collections::BTreeMap;
 use sgd_gpusim::kernels::GpuExec;
 use sgd_gpusim::WarpCtx;
 use sgd_linalg::{CpuExec, Exec, Scalar};
-use sgd_models::{Batch, Examples, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::hogwild::shuffled_order;
-use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, Recorder};
 use crate::report::RunReport;
 use crate::supervisor::Supervisor;
 
@@ -305,17 +305,6 @@ fn trace_dense_pass(
 /// The whole epoch is a single kernel (one thread per example). The first
 /// two epochs are traced (cold/warm L2); later epochs replay the warm cost
 /// while computing functionally identical updates.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Hogwild` on `DeviceKind::Gpu`")]
-pub fn run_gpu_hogwild<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    alpha: f64,
-    opts: &RunOptions,
-    gopts: &GpuAsyncOptions,
-) -> RunReport {
-    gpu_hogwild_observed(task, task.pointwise(), batch, alpha, opts, gopts, &mut NullObserver)
-}
-
 pub(crate) fn gpu_hogwild_observed<T: Task>(
     task: &T,
     loss_fn: &dyn PointwiseLoss,
@@ -492,20 +481,6 @@ pub(crate) fn gpu_hogwild_observed<T: Task>(
 /// Runs Hogbatch for any task on the simulated GPU: batches are processed
 /// strictly in sequence (only one kernel executes at a time), each batch's
 /// primitive stream paying the per-kernel host dispatch overhead.
-#[deprecated(
-    note = "dispatch through `Engine::run` with `Strategy::Hogbatch` on `DeviceKind::Gpu`"
-)]
-pub fn run_gpu_hogbatch<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    alpha: f64,
-    opts: &RunOptions,
-    gopts: &GpuAsyncOptions,
-) -> RunReport {
-    gpu_hogbatch_observed(task, full, batches, alpha, opts, gopts, &mut NullObserver)
-}
-
 pub(crate) fn gpu_hogbatch_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -660,11 +635,10 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
-    use crate::hogbatch::{make_batches, run_hogbatch};
-    use crate::hogwild::run_hogwild;
+    use crate::hogbatch::{hogbatch_observed, make_batches};
+    use crate::hogwild::hogwild_observed;
+    use crate::metrics::NullObserver;
     use sgd_linalg::{CsrMatrix, Matrix};
     use sgd_models::{lr, MlpTask};
 
@@ -685,7 +659,15 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(6);
         let opts = RunOptions { max_epochs: 1, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.1,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         let conflicts = rep.update_conflicts().expect("gpu run records conflicts");
         // 64 examples, 6 coords each = 384 touches; 2 warps x 6 unique.
         assert_eq!(conflicts, 384 - 12);
@@ -704,8 +686,16 @@ mod tests {
         let alpha = 0.02;
         let epochs = 3;
         let opts = RunOptions { max_epochs: epochs, ..Default::default() };
-        let seq = run_hogwild(&task, &b, 1, alpha, &opts);
-        let gpu = run_gpu_hogwild(&task, &b, alpha, &opts, &GpuAsyncOptions::default());
+        let seq = hogwild_observed(&task, task.pointwise(), &b, 1, alpha, &opts, &mut NullObserver);
+        let gpu = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            alpha,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         let l_seq = seq.trace.points()[epochs].1;
         let l_gpu = gpu.trace.points()[epochs].1;
         let l0 = seq.trace.points()[0].1;
@@ -733,8 +723,16 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&xs), &y);
         let task = lr(d);
         let opts = RunOptions { max_epochs: 5, ..Default::default() };
-        let seq = run_hogwild(&task, &b, 1, 0.5, &opts);
-        let gpu = run_gpu_hogwild(&task, &b, 0.5, &opts, &GpuAsyncOptions::default());
+        let seq = hogwild_observed(&task, task.pointwise(), &b, 1, 0.5, &opts, &mut NullObserver);
+        let gpu = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.5,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         assert_eq!(gpu.update_conflicts(), Some(0));
         for (p, q) in seq.trace.points().iter().zip(gpu.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
@@ -747,13 +745,23 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(6);
         let opts = RunOptions { max_epochs: 20, ..Default::default() };
-        let lww = run_gpu_hogwild(&task, &b, 0.5, &opts, &GpuAsyncOptions::default());
-        let atomic = run_gpu_hogwild(
+        let lww = gpu_hogwild_observed(
             &task,
+            task.pointwise(),
+            &b,
+            0.5,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
+        let atomic = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
             &b,
             0.5,
             &opts,
             &GpuAsyncOptions { atomic_updates: true, ..Default::default() },
+            &mut NullObserver,
         );
         // Atomic (mini-batch-like) updates make faster statistical progress
         // on dense data than last-write-wins.
@@ -766,7 +774,15 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 6, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.1,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         let pts = rep.trace.points();
         assert!(pts.len() >= 6);
         let d4 = pts[4].0 - pts[3].0;
@@ -780,7 +796,15 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 5, ..Default::default() };
-        let rep = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let rep = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.1,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         let m = &rep.metrics;
         assert_eq!(m.epochs.len(), rep.trace.epochs());
         let total: u64 = m.epochs.iter().map(|e| e.update_conflicts).sum();
@@ -801,8 +825,16 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 10, ..Default::default() };
-        let cpu = run_hogbatch(&task, &full, &batches, 1, 1.0, &opts);
-        let gpu = run_gpu_hogbatch(&task, &full, &batches, 1.0, &opts, &GpuAsyncOptions::default());
+        let cpu = hogbatch_observed(&task, &full, &batches, 1, 1.0, &opts, &mut NullObserver);
+        let gpu = gpu_hogbatch_observed(
+            &task,
+            &full,
+            &batches,
+            1.0,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         for (p, q) in cpu.trace.points().iter().zip(gpu.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-9, "{} vs {}", p.1, q.1);
         }
@@ -814,10 +846,26 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(4);
         let opts = RunOptions { max_epochs: 4, plateau: None, ..Default::default() };
-        let clean = run_gpu_hogwild(&task, &b, 0.1, &opts, &GpuAsyncOptions::default());
+        let clean = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.1,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         let lag_opts =
             RunOptions { faults: FaultPlan::default().with_straggler(0, 4.0), ..opts.clone() };
-        let lag = run_gpu_hogwild(&task, &b, 0.1, &lag_opts, &GpuAsyncOptions::default());
+        let lag = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.1,
+            &lag_opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         // A straggler-only plan changes no updates: same trajectory.
         assert_eq!(clean.trace.epochs(), lag.trace.epochs());
         for (p, q) in clean.trace.points().iter().zip(lag.trace.points()) {
@@ -847,7 +895,15 @@ mod tests {
                 .with_worker_death(0, 1),
             ..Default::default()
         };
-        let rep = run_gpu_hogwild(&task, &b, 0.02, &opts, &GpuAsyncOptions::default());
+        let rep = gpu_hogwild_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            0.02,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "async gpu must absorb a dead warp, got {:?}",
@@ -879,7 +935,15 @@ mod tests {
                 .with_worker_death(1, 2),
             ..Default::default()
         };
-        let rep = run_gpu_hogbatch(&task, &full, &batches, 0.5, &opts, &GpuAsyncOptions::default());
+        let rep = gpu_hogbatch_observed(
+            &task,
+            &full,
+            &batches,
+            0.5,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "serialized gpu stream must absorb a dead enqueuer, got {:?}",
@@ -901,16 +965,24 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 3, ..Default::default() };
-        let fast = run_gpu_hogbatch(
+        let fast = gpu_hogbatch_observed(
             &task,
             &full,
             &batches,
             1.0,
             &opts,
             &GpuAsyncOptions { host_sync_overhead_secs: 0.0, ..Default::default() },
+            &mut NullObserver,
         );
-        let slow =
-            run_gpu_hogbatch(&task, &full, &batches, 1.0, &opts, &GpuAsyncOptions::default());
+        let slow = gpu_hogbatch_observed(
+            &task,
+            &full,
+            &batches,
+            1.0,
+            &opts,
+            &GpuAsyncOptions::default(),
+            &mut NullObserver,
+        );
         assert!(slow.time_per_epoch() > 2.0 * fast.time_per_epoch());
     }
 }

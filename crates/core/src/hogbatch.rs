@@ -15,7 +15,7 @@ use sgd_models::{Batch, Task};
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultTally};
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
 use crate::supervisor::Supervisor;
@@ -23,7 +23,7 @@ use crate::supervisor::Supervisor;
 /// Splits `full` (dense examples required for MLP) into owned mini-batch
 /// matrices of `batch_size` rows. Returns `(matrices, label_slices)` to
 /// borrow `Batch`es from.
-pub fn make_batches(
+pub(crate) fn make_batches(
     x: &sgd_linalg::Matrix,
     y: &[Scalar],
     batch_size: usize,
@@ -42,18 +42,6 @@ pub fn make_batches(
 
 /// Runs Hogbatch with `threads` workers over the given mini-batches.
 /// `full` is the whole dataset, used only for (untimed) loss evaluation.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Hogbatch`")]
-pub fn run_hogbatch<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    threads: usize,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    hogbatch_observed(task, full, batches, threads, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn hogbatch_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -211,9 +199,8 @@ fn hogbatch_run<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::metrics::NullObserver;
     use sgd_linalg::Matrix;
     use sgd_models::{Examples, MlpTask};
 
@@ -254,7 +241,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 120, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 1, 2.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 1, 2.0, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuSeq);
         let start = rep.trace.points()[0].1;
         assert!(rep.best_loss() < start * 0.6, "loss {} -> {}", start, rep.best_loss());
@@ -269,7 +256,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 120, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 4, 2.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 4, 2.0, &opts, &mut NullObserver);
         assert_eq!(rep.device, DeviceKind::CpuPar);
         let start = rep.trace.points()[0].1;
         assert!(rep.best_loss() < start * 0.7, "loss {} -> {}", start, rep.best_loss());
@@ -284,7 +271,7 @@ mod tests {
             owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
         let full = Batch::new(Examples::Dense(&x), &y);
         let opts = RunOptions { max_epochs: 60, ..Default::default() };
-        let rep = run_hogbatch(&task, &full, &batches, 2, 1.0, &opts);
+        let rep = hogbatch_observed(&task, &full, &batches, 2, 1.0, &opts, &mut NullObserver);
         assert!(rep.best_loss() < 0.3, "loss {}", rep.best_loss());
     }
 }

@@ -14,13 +14,13 @@
 
 use sgd_cpusim::{CpuModelExec, CpuSpec, HogwildCost};
 use sgd_linalg::{CpuExec, Exec, Scalar};
-use sgd_models::{Batch, Examples, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
 use crate::hogwild::shuffled_order;
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::report::RunReport;
 use crate::supervisor::Supervisor;
 
@@ -63,17 +63,6 @@ impl CpuModelConfig {
 }
 
 /// Synchronous (batch) gradient descent with modeled CPU time.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::Sync` and `Timing::Modeled`")]
-pub fn run_sync_modeled<T: Task>(
-    task: &T,
-    batch: &Batch<'_>,
-    mc: &CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    sync_modeled_observed(task, batch, mc, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn sync_modeled_observed<T: Task>(
     task: &T,
     batch: &Batch<'_>,
@@ -307,19 +296,6 @@ pub(crate) fn batch_stats(batch: &Batch<'_>) -> (usize, f64, usize, usize) {
 
 /// Hogwild for a linear task with modeled time and bounded-staleness
 /// statistics.
-#[deprecated(
-    note = "dispatch through `Engine::run` with `Strategy::Hogwild` and `Timing::Modeled`"
-)]
-pub fn run_hogwild_modeled<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    mc: &CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    hogwild_modeled_observed(task, task.pointwise(), batch, mc, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn hogwild_modeled_observed<T: Task>(
     task: &T,
     loss_fn: &dyn PointwiseLoss,
@@ -411,20 +387,6 @@ pub(crate) fn hogwild_modeled_observed<T: Task>(
 /// against round-stale snapshots; timing is one batch's modeled
 /// single-thread cost scaled by the batch count over the effective cores,
 /// plus the coherency cost of the concurrent dense model updates.
-#[deprecated(
-    note = "dispatch through `Engine::run` with `Strategy::Hogbatch` and `Timing::Modeled`"
-)]
-pub fn run_hogbatch_modeled<T: Task>(
-    task: &T,
-    full: &Batch<'_>,
-    batches: &[Batch<'_>],
-    mc: &CpuModelConfig,
-    alpha: f64,
-    opts: &RunOptions,
-) -> RunReport {
-    hogbatch_modeled_observed(task, full, batches, mc, alpha, opts, &mut NullObserver)
-}
-
 pub(crate) fn hogbatch_modeled_observed<T: Task>(
     task: &T,
     full: &Batch<'_>,
@@ -576,13 +538,12 @@ pub(crate) fn hogbatch_modeled_observed<T: Task>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
-    use crate::hogwild::run_hogwild;
-    use crate::sync::run_sync;
+    use crate::hogwild::hogwild_observed;
+    use crate::metrics::NullObserver;
+    use crate::sync::sync_observed;
     use sgd_linalg::{CsrMatrix, Matrix};
-    use sgd_models::{lr, MlpTask};
+    use sgd_models::{lr, LinearLoss, MlpTask};
 
     fn sparse_data(n: usize, d: usize) -> (CsrMatrix, Vec<Scalar>) {
         let entries: Vec<Vec<(u32, Scalar)>> = (0..n)
@@ -604,8 +565,15 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(16);
         let opts = RunOptions { max_epochs: 8, ..Default::default() };
-        let wall = run_sync(&task, &b, DeviceKind::CpuSeq, 0.5, &opts);
-        let modeled = run_sync_modeled(&task, &b, &CpuModelConfig::paper_machine(56), 0.5, &opts);
+        let wall = sync_observed(&task, &b, DeviceKind::CpuSeq, 0.5, &opts, &mut NullObserver);
+        let modeled = sync_modeled_observed(
+            &task,
+            &b,
+            &CpuModelConfig::paper_machine(56),
+            0.5,
+            &opts,
+            &mut NullObserver,
+        );
         for (p, q) in wall.trace.points().iter().zip(modeled.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
         }
@@ -618,8 +586,16 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(16);
         let opts = RunOptions { max_epochs: 6, ..Default::default() };
-        let wall = run_hogwild(&task, &b, 1, 0.5, &opts);
-        let modeled = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(1), 0.5, &opts);
+        let wall = hogwild_observed(&task, task.pointwise(), &b, 1, 0.5, &opts, &mut NullObserver);
+        let modeled = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(1),
+            0.5,
+            &opts,
+            &mut NullObserver,
+        );
         for (p, q) in wall.trace.points().iter().zip(modeled.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
         }
@@ -631,8 +607,24 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(8);
         let opts = RunOptions { max_epochs: 3, ..Default::default() };
-        let fresh = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(1), 0.2, &opts);
-        let stale = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(56), 0.2, &opts);
+        let fresh = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(1),
+            0.2,
+            &opts,
+            &mut NullObserver,
+        );
+        let stale = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(56),
+            0.2,
+            &opts,
+            &mut NullObserver,
+        );
         // The delayed reads produce a measurably different trajectory...
         let diff: f64 = fresh
             .trace
@@ -679,8 +671,24 @@ mod tests {
         let b = Batch::new(Examples::Dense(&x), &y);
         let task = lr(54);
         let opts = RunOptions { max_epochs: 2, ..Default::default() };
-        let seq = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(1), 0.1, &opts);
-        let par = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(56), 0.1, &opts);
+        let seq = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(1),
+            0.1,
+            &opts,
+            &mut NullObserver,
+        );
+        let par = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(56),
+            0.1,
+            &opts,
+            &mut NullObserver,
+        );
         assert!(par.time_per_epoch() > seq.time_per_epoch());
     }
 
@@ -690,8 +698,24 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(100_000);
         let opts = RunOptions { max_epochs: 2, ..Default::default() };
-        let seq = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(1), 0.1, &opts);
-        let par = run_hogwild_modeled(&task, &b, &CpuModelConfig::paper_machine(56), 0.1, &opts);
+        let seq = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(1),
+            0.1,
+            &opts,
+            &mut NullObserver,
+        );
+        let par = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &CpuModelConfig::paper_machine(56),
+            0.1,
+            &opts,
+            &mut NullObserver,
+        );
         assert!(par.time_per_epoch() < seq.time_per_epoch());
     }
 
@@ -716,8 +740,10 @@ mod tests {
         mc1.spec.fork_join_secs = 0.0;
         let mut mc56 = CpuModelConfig::paper_machine(56);
         mc56.spec.fork_join_secs = 0.0;
-        let seq = run_hogbatch_modeled(&task, &full, &batches, &mc1, 0.5, &opts);
-        let par = run_hogbatch_modeled(&task, &full, &batches, &mc56, 0.5, &opts);
+        let seq =
+            hogbatch_modeled_observed(&task, &full, &batches, &mc1, 0.5, &opts, &mut NullObserver);
+        let par =
+            hogbatch_modeled_observed(&task, &full, &batches, &mc56, 0.5, &opts, &mut NullObserver);
         assert!(par.time_per_epoch() < seq.time_per_epoch());
         // Both make progress on the loss.
         assert!(seq.best_loss() < seq.trace.points()[0].1);
@@ -738,10 +764,26 @@ mod tests {
             faults: crate::FaultPlan::default().with_straggler(0, 4.0),
             ..clean.clone()
         };
-        let sc = run_sync_modeled(&task, &b, &mc, 0.5, &clean);
-        let sf = run_sync_modeled(&task, &b, &mc, 0.5, &faulty);
-        let hc = run_hogwild_modeled(&task, &b, &mc, 0.2, &clean);
-        let hf = run_hogwild_modeled(&task, &b, &mc, 0.2, &faulty);
+        let sc = sync_modeled_observed(&task, &b, &mc, 0.5, &clean, &mut NullObserver);
+        let sf = sync_modeled_observed(&task, &b, &mc, 0.5, &faulty, &mut NullObserver);
+        let hc = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &mc,
+            0.2,
+            &clean,
+            &mut NullObserver,
+        );
+        let hf = hogwild_modeled_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            &mc,
+            0.2,
+            &faulty,
+            &mut NullObserver,
+        );
         assert_eq!(sc.trace.epochs(), sf.trace.epochs(), "straggler leaves statistics alone");
         assert_eq!(hc.trace.epochs(), hf.trace.epochs());
         let sync_ratio = sf.opt_seconds / sc.opt_seconds;
@@ -767,8 +809,8 @@ mod tests {
         with.spec.fork_join_secs = 0.0;
         let mut without = with.clone();
         without.gemm_parallel_threshold = 0;
-        let rep_with = run_sync_modeled(&task, &b, &with, 0.5, &opts);
-        let rep_without = run_sync_modeled(&task, &b, &without, 0.5, &opts);
+        let rep_with = sync_modeled_observed(&task, &b, &with, 0.5, &opts, &mut NullObserver);
+        let rep_without = sync_modeled_observed(&task, &b, &without, 0.5, &opts, &mut NullObserver);
         assert!(
             rep_without.time_per_epoch() < rep_with.time_per_epoch(),
             "lifting the ViennaCL threshold must speed the modeled epoch up: {} vs {}",

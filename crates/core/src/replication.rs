@@ -12,13 +12,13 @@ use std::time::Instant;
 
 use sgd_cpusim::{CpuSpec, HogwildCost};
 use sgd_linalg::Scalar;
-use sgd_models::{Batch, LinearLoss, LinearTask, PointwiseLoss, Task};
+use sgd_models::{Batch, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultTally};
 use crate::hogwild::{hogwild_worker, hogwild_worker_faulty, shuffled_order};
-use crate::metrics::{EpochMetrics, EpochObserver, NullObserver, Recorder};
+use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
 use crate::shared_model::SharedModel;
@@ -59,27 +59,6 @@ impl Replication {
 }
 
 /// Hogwild with the chosen replication strategy.
-#[deprecated(note = "dispatch through `Engine::run` with `Strategy::ReplicatedHogwild`")]
-pub fn run_replicated_hogwild<L: LinearLoss>(
-    task: &LinearTask<L>,
-    batch: &Batch<'_>,
-    threads: usize,
-    alpha: f64,
-    replication: Replication,
-    opts: &RunOptions,
-) -> RunReport {
-    replicated_observed(
-        task,
-        task.pointwise(),
-        batch,
-        threads,
-        alpha,
-        replication,
-        opts,
-        &mut NullObserver,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replicated_observed<T: Task>(
     task: &T,
@@ -239,9 +218,9 @@ fn average_replicas(replicas: &[SharedModel], out: &mut [Scalar]) {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // exercises the legacy shim entry points
-
     use super::*;
+    use crate::hogwild::hogwild_observed;
+    use crate::metrics::NullObserver;
     use sgd_linalg::CsrMatrix;
     use sgd_models::{lr, Examples};
 
@@ -285,7 +264,16 @@ mod tests {
         for repl in
             [Replication::PerMachine, Replication::PerNode { nodes: 2 }, Replication::PerCore]
         {
-            let rep = run_replicated_hogwild(&task, &b, 4, 0.5, repl, &opts);
+            let rep = replicated_observed(
+                &task,
+                task.pointwise(),
+                &b,
+                4,
+                0.5,
+                repl,
+                &opts,
+                &mut NullObserver,
+            );
             assert!(rep.best_loss() < 0.3, "{}: loss {}", repl.label(), rep.best_loss());
         }
     }
@@ -296,8 +284,17 @@ mod tests {
         let b = Batch::new(Examples::Sparse(&x), &y);
         let task = lr(8);
         let opts = RunOptions { max_epochs: 10, ..Default::default() };
-        let a = run_replicated_hogwild(&task, &b, 1, 0.5, Replication::PerMachine, &opts);
-        let h = crate::hogwild::run_hogwild(&task, &b, 1, 0.5, &opts);
+        let a = replicated_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            1,
+            0.5,
+            Replication::PerMachine,
+            &opts,
+            &mut NullObserver,
+        );
+        let h = hogwild_observed(&task, task.pointwise(), &b, 1, 0.5, &opts, &mut NullObserver);
         // Single-threaded, same order and updates: identical trajectories.
         for (p, q) in a.trace.points().iter().zip(h.trace.points()) {
             assert!((p.1 - q.1).abs() < 1e-12, "{} vs {}", p.1, q.1);
@@ -317,8 +314,16 @@ mod tests {
                 .with_worker_death(1, 2),
             ..Default::default()
         };
-        let rep =
-            run_replicated_hogwild(&task, &b, 4, 0.5, Replication::PerNode { nodes: 2 }, &opts);
+        let rep = replicated_observed(
+            &task,
+            task.pointwise(),
+            &b,
+            4,
+            0.5,
+            Replication::PerNode { nodes: 2 },
+            &opts,
+            &mut NullObserver,
+        );
         assert!(
             !matches!(rep.outcome, crate::report::RunOutcome::FaultAborted { .. }),
             "async replication must absorb a dead worker, got {:?}",

@@ -84,8 +84,8 @@ pub struct RunReport {
     /// Why the epoch loop ended.
     pub outcome: RunOutcome,
     /// Best finite-loss model the supervisor checkpointed; `None` when no
-    /// epoch improved on the initial model (including legacy shims that
-    /// predate the supervisor).
+    /// epoch improved on the initial model, and always for the framework
+    /// comparators, which predate the supervisor.
     pub best_model: Option<Vec<Scalar>>,
 }
 

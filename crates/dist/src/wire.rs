@@ -30,8 +30,9 @@
 //! EOF, read timeout, or I/O error — with a `JOIN`ed worker that never
 //! sent `LEAVE` is treated as a worker death, and the server revokes
 //! its outstanding shard leases so survivors pick the work up. Request
-//! semantics are [`serve_request`], the exact state machine the
-//! in-process transport drives — the two transports cannot drift.
+//! semantics are the crate-private `transport::serve_request`, the exact
+//! state machine the in-process transport drives — the two transports
+//! cannot drift.
 //!
 //! Every wire byte flows through bounded, typed parsing: a malformed
 //! line is an `ERR` response, never a panic, and this file is in the

@@ -18,9 +18,5 @@ pub mod tensorflow;
 pub mod tfgraph;
 
 pub use bidmach::run_bidmach;
-#[allow(deprecated)]
-pub use bidmach::{run_bidmach_sync, run_bidmach_sync_modeled};
 pub use tensorflow::run_tensorflow;
-#[allow(deprecated)]
-pub use tensorflow::{run_tensorflow_sync, run_tensorflow_sync_modeled};
 pub use tfgraph::{Graph, Op, Session};

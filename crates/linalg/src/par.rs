@@ -17,8 +17,8 @@ use crate::{pool, seq, simd, CsrMatrix, Matrix, Scalar};
 /// parallel-dispatch overhead and we fall back to the sequential
 /// implementation. ViennaCL's OpenMP backend has the same kind of guard.
 /// Measured in elements for element-wise kernels and in element-ops
-/// (`len * work_per_elem`) for row-granular ones — see
-/// [`chunk_len_weighted`].
+/// (`len * work_per_elem`) for row-granular ones — see the private
+/// `chunk_len_weighted` in this module.
 pub const MIN_PARALLEL_LEN: usize = 4096;
 
 /// Contiguous chunk size splitting `len` elements across the ambient

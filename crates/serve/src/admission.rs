@@ -1,9 +1,8 @@
 //! Admission control, priority shedding, and deadline enforcement for
 //! the batcher: the serving layer's graceful-degradation contract.
 //!
-//! The legacy open/closed loops in [`crate::batcher`] queue without
-//! bound: past saturation both the queue and the latency tail diverge.
-//! The async-SGD literature this repo reproduces is fundamentally about
+//! A batcher that queues without bound lets both the queue and the
+//! latency tail diverge past saturation. The async-SGD literature this repo reproduces is fundamentally about
 //! *bounded* degradation under contention — stale or dropped work is
 //! accounted for by design, never silently accumulated — and the serving
 //! layer obeys the same discipline here. [`run_admitted`] replays the
@@ -24,12 +23,13 @@
 //!
 //! Conservation is structural — `completed + shed + rejected == offered`
 //! ([`OutcomeCounts::offered`]) — and the soak bench asserts it; there
-//! is no silent-drop path. Under [`AdmissionPolicy::unbounded`] the
-//! runner reproduces [`crate::batcher::run_open_loop`] bit for bit (a
-//! pinned test below): the hardened path and the unhardened baseline are
-//! the *same* simulation, differing only in policy. Same seed, same
-//! offered load ⇒ bit-identical shed decisions, latencies, and
-//! summaries.
+//! is no silent-drop path. Under [`AdmissionPolicy::unbounded`] nothing
+//! is shed and the runner is the plain batcher: it reproduces the
+//! latencies recorded from the earlier unhardened open- and closed-loop
+//! runners bit for bit (pinned tests below). The hardened path and the
+//! unhardened baseline are the *same* simulation, differing only in
+//! policy. Same seed, same offered load ⇒ bit-identical shed decisions,
+//! latencies, and summaries.
 
 use std::collections::VecDeque;
 
@@ -95,11 +95,6 @@ impl OutcomeCounts {
         self.shed_admission + self.shed_deadline + self.rejected
     }
 
-    /// A ledger for a legacy (unhardened) run: everything completed.
-    pub fn all_completed(n: usize) -> Self {
-        OutcomeCounts { completed: n, ..OutcomeCounts::default() }
-    }
-
     fn record(&mut self, o: RequestOutcome) {
         match o {
             RequestOutcome::Completed { .. } => self.completed += 1,
@@ -144,9 +139,8 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The legacy no-op policy: nothing is ever shed or rejected.
-    /// [`run_admitted`] under this policy is bit-identical to the
-    /// unhardened loops.
+    /// The no-op policy: nothing is ever shed or rejected, so
+    /// [`run_admitted`] under it is the plain, unhardened batcher.
     pub fn unbounded() -> Self {
         AdmissionPolicy {
             max_queue: usize::MAX,
@@ -634,8 +628,9 @@ pub fn run_admitted<S: BatchService>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{run_open_loop, ServeBackend, ServeTiming};
+    use crate::batcher::{ServeBackend, ServeTiming};
     use crate::checkpoint::Checkpoint;
+    use crate::loadgen::open_requests;
     use crate::model::TaskDescriptor;
     use sgd_linalg::Matrix;
 
@@ -654,55 +649,193 @@ mod tests {
         ]))
     }
 
-    fn open_reqs(arrivals: &[f64]) -> Vec<OfferedRequest> {
-        arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| OfferedRequest { arrival: t, priority: 0, row: i })
-            .collect()
+    /// `f64::to_bits` of the latencies the unhardened open-loop runner
+    /// (removed since; it queued without bound) recorded for 64 arrivals
+    /// 7 µs apart on `toy_pool` at cpu-seq modeled service, one row per
+    /// policy of `legacy_open_policies`, in arrival order.
+    #[rustfmt::skip]
+    const LEGACY_OPEN_LATENCIES: [[u64; 64]; 3] = [
+        [
+            0x3ec0ca3042f174d5, 0x3ec0ca3042f174d6, 0x3ec0ca3042f174d4, 0x3ec0ca3042f174d8,
+            0x3ec0ca3042f174d8, 0x3ec0ca3042f174d0, 0x3ec0ca3042f174d0, 0x3ec0ca3042f174d0,
+            0x3ec0ca3042f174d0, 0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0,
+            0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0,
+            0x3ec0ca3042f174e0, 0x3ec0ca3042f174e0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0,
+            0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0,
+            0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0,
+            0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0,
+            0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f174c0, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+            0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500, 0x3ec0ca3042f17500,
+        ],
+        [
+            0x3ef81fa04823491f, 0x3ef0c893f1d3b131, 0x3ee2e30f37083287, 0x3ec0d3da29a40ab0,
+            0x3ef81fa04823491f, 0x3ef0c893f1d3b132, 0x3ee2e30f37083288, 0x3ec0d3da29a40ab0,
+            0x3ef81fa04823491e, 0x3ef0c893f1d3b130, 0x3ee2e30f37083288, 0x3ec0d3da29a40aa0,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083288, 0x3ec0d3da29a40aa0,
+            0x3ef81fa048234924, 0x3ef0c893f1d3b138, 0x3ee2e30f37083290, 0x3ec0d3da29a40ac0,
+            0x3ef81fa048234928, 0x3ef0c893f1d3b138, 0x3ee2e30f37083290, 0x3ec0d3da29a40ac0,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40ac0,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40ac0,
+            0x3ef81fa048234918, 0x3ef0c893f1d3b128, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234910, 0x3ef0c893f1d3b120, 0x3ee2e30f37083260, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234910, 0x3ef0c893f1d3b120, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234920, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+            0x3ef81fa048234910, 0x3ef0c893f1d3b130, 0x3ee2e30f37083280, 0x3ec0d3da29a40a80,
+        ],
+        [
+            0x3f0abeb6f93fb63d, 0x3f071330ce17ea46, 0x3f0367aaa2f01e4f, 0x3eff7848ef90a4b1,
+            0x3ef8213c99410cc3, 0x3ef0ca3042f174d6, 0x3ee2e647d943b9d0, 0x3ec0e0bcb29227d0,
+            0x3f0abeb6f93fb63d, 0x3f071330ce17ea46, 0x3f0367aaa2f01e50, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc4, 0x3ef0ca3042f174d4, 0x3ee2e647d943b9d0, 0x3ec0e0bcb29227c0,
+            0x3f0abeb6f93fb63e, 0x3f071330ce17ea48, 0x3f0367aaa2f01e50, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc8, 0x3ef0ca3042f174d8, 0x3ee2e647d943b9d0, 0x3ec0e0bcb29227c0,
+            0x3f0abeb6f93fb63c, 0x3f071330ce17ea44, 0x3f0367aaa2f01e4c, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc0, 0x3ef0ca3042f174d0, 0x3ee2e647d943b9c0, 0x3ec0e0bcb29227c0,
+            0x3f0abeb6f93fb644, 0x3f071330ce17ea4c, 0x3f0367aaa2f01e58, 0x3eff7848ef90a4c0,
+            0x3ef8213c99410cd0, 0x3ef0ca3042f174e0, 0x3ee2e647d943b9e0, 0x3ec0e0bcb2922800,
+            0x3f0abeb6f93fb640, 0x3f071330ce17ea48, 0x3f0367aaa2f01e50, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc0, 0x3ef0ca3042f174d0, 0x3ee2e647d943b9c0, 0x3ec0e0bcb2922800,
+            0x3f0abeb6f93fb640, 0x3f071330ce17ea48, 0x3f0367aaa2f01e50, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc0, 0x3ef0ca3042f174d0, 0x3ee2e647d943b9e0, 0x3ec0e0bcb2922800,
+            0x3f0abeb6f93fb640, 0x3f071330ce17ea48, 0x3f0367aaa2f01e50, 0x3eff7848ef90a4b0,
+            0x3ef8213c99410cc0, 0x3ef0ca3042f174e0, 0x3ee2e647d943b9e0, 0x3ec0e0bcb2922800,
+        ],
+    ];
+    /// The decision values it recorded: request `i` scores pool row
+    /// `i % 3`, whatever the policy.
+    const LEGACY_OPEN_DECISIONS: [u64; 3] =
+        [0x3fe6666666666667, 0xbfa9999999999998, 0x3fe0000000000000];
+
+    /// Batch count and largest batch it dispatched, per policy.
+    const LEGACY_OPEN_BATCHES: [(usize, usize); 3] = [(64, 1), (16, 4), (8, 8)];
+
+    fn legacy_open_policies() -> [BatchPolicy; 3] {
+        [BatchPolicy::unbatched(), BatchPolicy::new(4, 1e-4), BatchPolicy::new(8, 0.05)]
     }
 
     #[test]
     fn unbounded_policy_reproduces_the_legacy_open_loop_bitwise() {
         let model = lr_model(3);
         let pool = toy_pool();
-        for policy in
-            [BatchPolicy::unbatched(), BatchPolicy::new(4, 1e-4), BatchPolicy::new(8, 0.05)]
-        {
-            let arrivals: Vec<f64> = (0..64).map(|i| (i as f64) * 7e-6).collect();
-            let legacy = run_open_loop(
-                &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-                &model,
-                &pool,
-                &policy,
-                &arrivals,
-            );
+        let arrivals: Vec<f64> = (0..64).map(|i| (i as f64) * 7e-6).collect();
+        for (k, policy) in legacy_open_policies().into_iter().enumerate() {
             let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
             let mut svc = ComputeService::new(&mut srv, &model, &pool);
             let admitted = run_admitted(
                 &mut svc,
                 &policy,
                 &AdmissionPolicy::unbounded(),
-                &open_reqs(&arrivals),
+                &open_requests(&arrivals),
                 &ClosedClients::none(),
             );
             assert_eq!(admitted.counts.offered(), 64);
             assert_eq!(admitted.counts.completed, 64);
-            assert_eq!(admitted.batches, legacy.batches, "policy {policy:?}");
-            assert_eq!(admitted.max_batch_seen, legacy.max_batch_seen);
-            // Outcome i corresponds to legacy latency i (arrival order).
-            for (i, (o, l)) in admitted.outcomes.iter().zip(&legacy.latencies).enumerate() {
+            assert_eq!((admitted.batches, admitted.max_batch_seen), LEGACY_OPEN_BATCHES[k]);
+            // Outcome i is request i's latency (arrival order).
+            for (i, (o, l)) in admitted.outcomes.iter().zip(&LEGACY_OPEN_LATENCIES[k]).enumerate() {
                 let RequestOutcome::Completed { latency } = *o else {
                     panic!("request {i} must complete under the unbounded policy")
                 };
-                assert_eq!(latency.to_bits(), l.to_bits(), "latency {i}, policy {policy:?}");
+                assert_eq!(latency.to_bits(), *l, "latency {i}, policy {policy:?}");
             }
             // Open-loop batches drain in arrival order, so completion
-            // order == arrival order and decisions align bitwise.
-            for (d, l) in admitted.decisions.iter().zip(&legacy.decisions) {
-                assert_eq!(d.to_bits(), l.to_bits());
+            // order == arrival order and the latency list aligns too.
+            let bits: Vec<u64> = admitted.latencies.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(bits, LEGACY_OPEN_LATENCIES[k], "policy {policy:?}");
+            assert_eq!(admitted.decisions.len(), 64);
+            for (i, d) in admitted.decisions.iter().enumerate() {
+                assert_eq!(d.to_bits(), LEGACY_OPEN_DECISIONS[i % 3], "decision {i}");
             }
-            assert_eq!(admitted.summary.p99.to_bits(), legacy.summary.p99.to_bits());
+        }
+    }
+
+    /// A closed-loop run the unhardened closed-loop runner (removed
+    /// since) recorded on `toy_pool` at cpu-seq modeled service:
+    /// latencies in completion order, batch count, makespan and busy
+    /// seconds, floats as `f64::to_bits`.
+    struct LegacyClosedRun {
+        policy: BatchPolicy,
+        clients: usize,
+        per_client: usize,
+        think: f64,
+        batches: usize,
+        makespan: u64,
+        service_secs: u64,
+        latencies: &'static [u64],
+    }
+
+    #[rustfmt::skip]
+    const LEGACY_CLOSED_RUNS: [LegacyClosedRun; 2] = [
+        LegacyClosedRun {
+            policy: BatchPolicy { max_batch: 4, max_wait: 1e-4 },
+            clients: 3,
+            per_client: 5,
+            think: 0.0,
+            batches: 5,
+            makespan: 0x3f40b660fa96b48d,
+            service_secs: 0x3ee504c9e942a440,
+            latencies: &[
+                0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748,
+                0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748,
+                0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748,
+                0x3f1abd67f7578748, 0x3f1abd67f7578748, 0x3f1abd67f7578748,
+            ],
+        },
+        LegacyClosedRun {
+            policy: BatchPolicy { max_batch: 2, max_wait: 1e-5 },
+            clients: 4,
+            per_client: 6,
+            think: 1e-6,
+            batches: 12,
+            makespan: 0x3ef9341d57c37a2d,
+            service_secs: 0x3ef9341d57c37a2d,
+            latencies: &[
+                0x3ec0cd68e52cfc1d, 0x3ec0cd68e52cfc1d, 0x3ed0cd68e52cfc1d, 0x3ed0cd68e52cfc1d,
+                0x3ec93755f9ff0174, 0x3ec93755f9ff0174, 0x3ec93755f9ff0174, 0x3ec93755f9ff0174,
+                0x3ec93755f9ff0172, 0x3ec93755f9ff0172, 0x3ec93755f9ff0170, 0x3ec93755f9ff0170,
+                0x3ec93755f9ff0170, 0x3ec93755f9ff0170, 0x3ec93755f9ff0174, 0x3ec93755f9ff0174,
+                0x3ec93755f9ff0178, 0x3ec93755f9ff0178, 0x3ec93755f9ff0178, 0x3ec93755f9ff0178,
+                0x3ec93755f9ff0178, 0x3ec93755f9ff0178, 0x3ec93755f9ff0178, 0x3ec93755f9ff0178,
+            ],
+        },
+    ];
+
+    #[test]
+    fn unbounded_policy_reproduces_the_legacy_closed_loop_bitwise() {
+        // Decisions are not pinned: the legacy runner chose a request's
+        // pool row when the request was issued, this runner when it is
+        // admitted, so with more clients than pool rows the order of rows
+        // can differ. Every row of this dense pool costs the same, so
+        // latencies and batching do not depend on the row.
+        let model = lr_model(3);
+        let pool = toy_pool();
+        for run in &LEGACY_CLOSED_RUNS {
+            let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let mut svc = ComputeService::new(&mut srv, &model, &pool);
+            let closed = ClosedClients {
+                clients: run.clients,
+                per_client: run.per_client,
+                think: run.think,
+                priority: 0,
+            };
+            let out =
+                run_admitted(&mut svc, &run.policy, &AdmissionPolicy::unbounded(), &[], &closed);
+            let what = format!("{} clients, {:?}", run.clients, run.policy);
+            assert_eq!(out.counts.completed, run.clients * run.per_client, "{what}");
+            assert_eq!(out.batches, run.batches, "{what}");
+            assert_eq!(out.makespan.to_bits(), run.makespan, "{what}");
+            assert_eq!(out.service_secs.to_bits(), run.service_secs, "{what}");
+            let bits: Vec<u64> = out.latencies.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(bits, run.latencies, "{what}");
         }
     }
 
@@ -732,7 +865,7 @@ mod tests {
             &mut svc,
             &BatchPolicy::new(2, 1e-3),
             &admission,
-            &open_reqs(&arrivals),
+            &open_requests(&arrivals),
             &ClosedClients::none(),
         );
         assert_eq!(out.counts.offered(), 32, "conservation");
@@ -760,7 +893,7 @@ mod tests {
             &mut svc,
             &BatchPolicy::unbatched(),
             &admission,
-            &open_reqs(&arrivals),
+            &open_requests(&arrivals),
             &ClosedClients::none(),
         );
         assert_eq!(out.counts.offered(), 16);
@@ -787,7 +920,7 @@ mod tests {
             &mut svc,
             &BatchPolicy::unbatched(),
             &admission,
-            &open_reqs(&arrivals),
+            &open_requests(&arrivals),
             &ClosedClients::none(),
         );
         assert_eq!(out.counts.offered(), 64);
@@ -892,7 +1025,7 @@ mod tests {
             &mut real,
             &policy,
             &AdmissionPolicy::unbounded(),
-            &open_reqs(&arrivals),
+            &open_requests(&arrivals),
             &ClosedClients::none(),
         );
         let mut modeled = ModeledService::for_predict(vec![ComputeBackend::CpuSeq], &model, &pool);
@@ -900,7 +1033,7 @@ mod tests {
             &mut modeled,
             &policy,
             &AdmissionPolicy::unbounded(),
-            &open_reqs(&arrivals),
+            &open_requests(&arrivals),
             &ClosedClients::none(),
         );
         assert_eq!(a.batches, b.batches);

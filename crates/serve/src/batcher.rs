@@ -8,8 +8,10 @@
 //! implementation training uses. `B = 1, W = 0` degenerates to unbatched
 //! per-request dispatch — the baseline the bench compares against.
 //!
-//! Queueing is simulated as a deterministic discrete-event system over
-//! request arrival timestamps: given identical arrivals, policy, and a
+//! Queueing is simulated by [`crate::admission::run_admitted`], a
+//! deterministic discrete-event system over request arrival timestamps;
+//! under [`crate::admission::AdmissionPolicy::unbounded`] it is the plain
+//! batcher and never sheds. Given identical arrivals, policy, and a
 //! modeled service clock, every latency in the outcome is bit-identical
 //! across runs. The batch trigger rule is the classic one: a batch
 //! launches when `B` requests are pending or the oldest pending request
@@ -39,7 +41,6 @@ use sgd_linalg::{pool, Exec, Scalar};
 use sgd_models::Examples;
 
 use crate::admission::{OutcomeCounts, RequestOutcome};
-use crate::loadgen::RequestPool;
 use crate::model::ServableModel;
 use crate::stats::LatencySummary;
 
@@ -313,10 +314,13 @@ pub fn predict_flops(model: &ServableModel, x: &Examples<'_>) -> f64 {
 /// Everything one serving run produced.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
-    /// Per-request latency (completion − arrival), seconds. Open loop:
-    /// indexed by arrival order. Closed loop: completion order.
+    /// Latency (completion − arrival) of each completed request,
+    /// seconds, in completion order. Open-loop traffic with nothing shed
+    /// completes in arrival order.
     pub latencies: Vec<f64>,
-    /// Per-request decision values, same order as `latencies`.
+    /// Decision value of each completed request, same order as
+    /// `latencies` (NaN under a service that prices batches without
+    /// scoring them).
     pub decisions: Vec<Scalar>,
     /// Number of batches dispatched.
     pub batches: usize,
@@ -331,223 +335,20 @@ pub struct ServeOutcome {
     pub makespan: f64,
     /// Latency/throughput summary.
     pub summary: LatencySummary,
-    /// How each offered request resolved, indexed by request id (the
-    /// legacy loops never shed, so every entry is `Completed`; the
-    /// admission-controlled runner records the full taxonomy). Never a
+    /// How each offered request resolved, indexed by request id (see
+    /// [`crate::admission::run_admitted`] for the id order). Never a
     /// silent drop: `outcomes.len() == counts.offered()`.
     pub outcomes: Vec<RequestOutcome>,
     /// The conservation ledger over `outcomes`.
     pub counts: OutcomeCounts,
 }
 
-impl ServeOutcome {
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        latencies: Vec<f64>,
-        decisions: Vec<Scalar>,
-        batches: usize,
-        max_batch_seen: usize,
-        batch_backends: Vec<String>,
-        service_secs: f64,
-        first_arrival: f64,
-        last_finish: f64,
-    ) -> Self {
-        let makespan = (last_finish - first_arrival).max(0.0);
-        let summary = LatencySummary::from_latencies(&latencies, makespan);
-        let outcomes: Vec<RequestOutcome> =
-            latencies.iter().map(|&l| RequestOutcome::Completed { latency: l }).collect();
-        let counts = OutcomeCounts::all_completed(outcomes.len());
-        ServeOutcome {
-            latencies,
-            decisions,
-            batches,
-            max_batch_seen,
-            batch_backends,
-            service_secs,
-            makespan,
-            summary,
-            outcomes,
-            counts,
-        }
-    }
-}
-
-/// Runs an open-loop workload: request `i` (features = pool row
-/// `i % pool.len()`) arrives at `arrivals[i]` regardless of server
-/// progress. Returns per-request latencies in arrival order.
-pub fn run_open_loop(
-    server: &mut Server,
-    model: &ServableModel,
-    requests: &RequestPool,
-    policy: &BatchPolicy,
-    arrivals: &[f64],
-) -> ServeOutcome {
-    let n = arrivals.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (ta, tb) = (arrivals.get(a), arrivals.get(b));
-        match (ta, tb) {
-            (Some(x), Some(y)) => x.total_cmp(y).then(a.cmp(&b)),
-            _ => a.cmp(&b),
-        }
-    });
-
-    let mut latencies = vec![0.0; n];
-    let mut decisions = vec![0.0; n];
-    let mut batches = 0;
-    let mut max_batch_seen = 0;
-    let mut batch_backends = Vec::new();
-    let mut service_secs = 0.0;
-    let mut t_free = 0.0f64;
-    let mut last_finish = 0.0f64;
-    let first_arrival = order.first().and_then(|&i| arrivals.get(i)).copied().unwrap_or(0.0);
-
-    let mut idx = 0;
-    while idx < n {
-        let Some(&first_id) = order.get(idx) else { break };
-        let t_first = arrivals.get(first_id).copied().unwrap_or(0.0);
-        // Trigger: B pending, or the oldest has waited W.
-        let deadline = t_first + policy.max_wait;
-        let t_full = order
-            .get(idx + policy.max_batch.saturating_sub(1))
-            .and_then(|&i| arrivals.get(i))
-            .copied()
-            .unwrap_or(f64::INFINITY);
-        let trigger = deadline.min(t_full);
-        let start = t_free.max(trigger);
-        // Everything that has arrived by the start joins, up to B.
-        let mut count = 0;
-        while count < policy.max_batch {
-            match order.get(idx + count).and_then(|&i| arrivals.get(i)) {
-                Some(&t) if t <= start => count += 1,
-                _ => break,
-            }
-        }
-        let count = count.max(1);
-        let ids: Vec<usize> = order.iter().skip(idx).take(count).copied().collect();
-        let rows: Vec<usize> = ids.iter().map(|&i| i % requests.len().max(1)).collect();
-        let batch = requests.assemble(&rows);
-        let (out, secs) = server.predict(model, &batch.examples());
-        let finish = start + secs;
-        for (k, &id) in ids.iter().enumerate() {
-            if let (Some(l), Some(d)) = (latencies.get_mut(id), decisions.get_mut(id)) {
-                *l = finish - arrivals.get(id).copied().unwrap_or(0.0);
-                *d = out.get(k).copied().unwrap_or(f64::NAN);
-            }
-        }
-        batches += 1;
-        max_batch_seen = max_batch_seen.max(count);
-        batch_backends.push(server.backend().label());
-        service_secs += secs;
-        t_free = finish;
-        last_finish = last_finish.max(finish);
-        idx += count;
-    }
-    ServeOutcome::finish(
-        latencies,
-        decisions,
-        batches,
-        max_batch_seen,
-        batch_backends,
-        service_secs,
-        first_arrival,
-        last_finish,
-    )
-}
-
-/// Runs a closed-loop workload: `clients` concurrent clients each issue
-/// `per_client` requests, re-issuing `think` seconds after each
-/// completion. Latencies are reported in completion order.
-pub fn run_closed_loop(
-    server: &mut Server,
-    model: &ServableModel,
-    requests: &RequestPool,
-    policy: &BatchPolicy,
-    clients: usize,
-    per_client: usize,
-    think: f64,
-) -> ServeOutcome {
-    // (arrival, client, row) — every pending request. New arrivals only
-    // ever appear after a completion, so at each dispatch decision the
-    // pending set is complete: the event simulation is exact.
-    let mut pending: Vec<(f64, usize, usize)> = Vec::with_capacity(clients);
-    let mut remaining = vec![per_client; clients];
-    let mut issued = 0usize;
-    for c in 0..clients {
-        if let Some(r) = remaining.get_mut(c) {
-            if *r > 0 {
-                *r -= 1;
-                // analyzer: allow(queue-discipline) -- unhardened baseline the soak measures against
-                pending.push((0.0, c, issued % requests.len().max(1)));
-                issued += 1;
-            }
-        }
-    }
-
-    let mut latencies = Vec::with_capacity(clients * per_client);
-    let mut decisions = Vec::with_capacity(clients * per_client);
-    let mut batches = 0;
-    let mut max_batch_seen = 0;
-    let mut batch_backends = Vec::new();
-    let mut service_secs = 0.0;
-    let mut t_free = 0.0f64;
-    let mut last_finish = 0.0f64;
-
-    while !pending.is_empty() {
-        pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let t_first = pending.first().map(|p| p.0).unwrap_or(0.0);
-        let deadline = t_first + policy.max_wait;
-        let t_full =
-            pending.get(policy.max_batch.saturating_sub(1)).map(|p| p.0).unwrap_or(f64::INFINITY);
-        let start = t_free.max(deadline.min(t_full));
-        let mut count = 0;
-        while count < policy.max_batch {
-            match pending.get(count) {
-                Some(&(t, _, _)) if t <= start => count += 1,
-                _ => break,
-            }
-        }
-        let count = count.max(1).min(pending.len());
-        let batch_reqs: Vec<(f64, usize, usize)> = pending.drain(..count).collect();
-        let rows: Vec<usize> = batch_reqs.iter().map(|&(_, _, r)| r).collect();
-        let assembled = requests.assemble(&rows);
-        let (out, secs) = server.predict(model, &assembled.examples());
-        let finish = start + secs;
-        for (k, &(arrival, client, _)) in batch_reqs.iter().enumerate() {
-            latencies.push(finish - arrival);
-            decisions.push(out.get(k).copied().unwrap_or(f64::NAN));
-            if let Some(r) = remaining.get_mut(client) {
-                if *r > 0 {
-                    *r -= 1;
-                    // analyzer: allow(queue-discipline) -- unhardened baseline the soak measures against
-                    pending.push((finish + think, client, issued % requests.len().max(1)));
-                    issued += 1;
-                }
-            }
-        }
-        batches += 1;
-        max_batch_seen = max_batch_seen.max(count);
-        batch_backends.push(server.backend().label());
-        service_secs += secs;
-        t_free = finish;
-        last_finish = last_finish.max(finish);
-    }
-    ServeOutcome::finish(
-        latencies,
-        decisions,
-        batches,
-        max_batch_seen,
-        batch_backends,
-        service_secs,
-        0.0,
-        last_finish,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{run_admitted, AdmissionPolicy, ClosedClients, ComputeService};
     use crate::checkpoint::Checkpoint;
+    use crate::loadgen::{open_requests, RequestPool};
     use crate::model::TaskDescriptor;
     use sgd_linalg::Matrix;
 
@@ -566,13 +367,42 @@ mod tests {
         ]))
     }
 
+    /// Open-loop traffic through the batcher with nothing shed: request
+    /// `i` arrives at `arrivals[i]` and scores pool row `i`.
+    fn serve_open(
+        srv: &mut Server,
+        model: &ServableModel,
+        pool: &RequestPool,
+        policy: &BatchPolicy,
+        arrivals: &[f64],
+    ) -> ServeOutcome {
+        let mut svc = ComputeService::new(srv, model, pool);
+        let open = open_requests(arrivals);
+        run_admitted(&mut svc, policy, &AdmissionPolicy::unbounded(), &open, &ClosedClients::none())
+    }
+
+    /// `clients` closed-loop clients, `per_client` requests each, through
+    /// the batcher with nothing shed.
+    fn serve_closed(
+        srv: &mut Server,
+        model: &ServableModel,
+        policy: &BatchPolicy,
+        clients: usize,
+        per_client: usize,
+        think: f64,
+    ) -> ServeOutcome {
+        let pool = toy_pool();
+        let mut svc = ComputeService::new(srv, model, &pool);
+        let closed = ClosedClients { clients, per_client, think, priority: 0 };
+        run_admitted(&mut svc, policy, &AdmissionPolicy::unbounded(), &[], &closed)
+    }
+
     #[test]
     fn unbatched_policy_serves_one_request_per_batch() {
         let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
         let model = lr_model(3);
         let arrivals: Vec<f64> = (0..6).map(|i| i as f64 * 1e-3).collect();
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::unbatched(), &arrivals);
+        let out = serve_open(&mut srv, &model, &toy_pool(), &BatchPolicy::unbatched(), &arrivals);
         assert_eq!(out.batches, 6);
         assert_eq!(out.max_batch_seen, 1);
         assert_eq!(out.summary.n, 6);
@@ -588,8 +418,7 @@ mod tests {
         // All 8 requests arrive at t=0: the first dispatches alone or the
         // batch fills instantly, depending on policy.
         let arrivals = vec![0.0; 8];
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1.0), &arrivals);
+        let out = serve_open(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1.0), &arrivals);
         assert_eq!(out.batches, 2, "8 simultaneous requests at B=4 is 2 batches");
         assert_eq!(out.max_batch_seen, 4);
     }
@@ -600,8 +429,7 @@ mod tests {
         let model = lr_model(3);
         // One early request, one far later: W must flush the first alone.
         let arrivals = vec![0.0, 1.0];
-        let out =
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(64, 0.01), &arrivals);
+        let out = serve_open(&mut srv, &model, &toy_pool(), &BatchPolicy::new(64, 0.01), &arrivals);
         assert_eq!(out.batches, 2);
         // First request waited W, then service.
         let l0 = out.latencies.first().copied().unwrap_or(0.0);
@@ -615,20 +443,16 @@ mod tests {
         let model = lr_model(3);
         let pool = toy_pool();
         let arrivals = vec![0.0; 5];
-        let out = run_open_loop(&mut srv, &model, &pool, &BatchPolicy::new(3, 1e-3), &arrivals);
+        let out = serve_open(&mut srv, &model, &pool, &BatchPolicy::new(3, 1e-3), &arrivals);
         // Request i uses pool row i % 3; compare to a direct single-row
         // predict on the same backend.
         for i in 0..5 {
-            let direct = run_open_loop(
-                &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
-                &model,
-                &pool.slice_rows(&[i % 3]),
-                &BatchPolicy::unbatched(),
-                &[0.0],
-            );
+            let row = pool.assemble(&[i % 3]);
+            let mut direct = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
+            let (scores, _) = direct.predict(&model, &row.examples());
             assert_eq!(
                 out.decisions.get(i).copied().map(f64::to_bits),
-                direct.decisions.first().copied().map(f64::to_bits),
+                scores.first().copied().map(f64::to_bits),
                 "request {i} decision must match a direct predict bitwise"
             );
         }
@@ -640,7 +464,7 @@ mod tests {
         let arrivals: Vec<f64> = (0..40).map(|i| i as f64 * 1e-6).collect();
         let run = || {
             let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(8, 1e-4), &arrivals)
+            serve_open(&mut srv, &model, &toy_pool(), &BatchPolicy::new(8, 1e-4), &arrivals)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.latencies.len(), b.latencies.len());
@@ -658,7 +482,7 @@ mod tests {
         let arrivals = vec![0.0; 32];
         let serve = |policy: BatchPolicy| {
             let mut srv = Server::new(ServeBackend::GpuSim, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &policy, &arrivals)
+            serve_open(&mut srv, &model, &toy_pool(), &policy, &arrivals)
         };
         let unbatched = serve(BatchPolicy::unbatched());
         let unbatched2 = serve(BatchPolicy::unbatched());
@@ -681,8 +505,7 @@ mod tests {
     fn closed_loop_completes_every_request() {
         let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
         let model = lr_model(3);
-        let out =
-            run_closed_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(4, 1e-4), 3, 5, 0.0);
+        let out = serve_closed(&mut srv, &model, &BatchPolicy::new(4, 1e-4), 3, 5, 0.0);
         assert_eq!(out.summary.n, 15);
         assert_eq!(out.latencies.len(), 15);
         assert!(out.batches >= 5, "at most `clients` requests per batch");
@@ -696,7 +519,7 @@ mod tests {
         let model = lr_model(3);
         let run = || {
             let mut srv = Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled);
-            run_closed_loop(&mut srv, &model, &toy_pool(), &BatchPolicy::new(2, 1e-5), 4, 6, 1e-6)
+            serve_closed(&mut srv, &model, &BatchPolicy::new(2, 1e-5), 4, 6, 1e-6)
         };
         let (a, b) = (run(), run());
         for (x, y) in a.latencies.iter().zip(&b.latencies) {
@@ -710,14 +533,14 @@ mod tests {
         let model = lr_model(3);
         let arrivals = vec![0.0; 9];
         let pol = BatchPolicy::new(3, 1e-4);
-        let seq = run_open_loop(
+        let seq = serve_open(
             &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
             &model,
             &toy_pool(),
             &pol,
             &arrivals,
         );
-        let par = run_open_loop(
+        let par = serve_open(
             &mut Server::new(ServeBackend::CpuPar { threads: 4 }, ServeTiming::Modeled),
             &model,
             &toy_pool(),
@@ -767,14 +590,14 @@ mod tests {
         let run = || {
             let mut srv =
                 Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &toy_pool(), &pol, &arrivals)
+            serve_open(&mut srv, &model, &toy_pool(), &pol, &arrivals)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.batch_backends, b.batch_backends, "same arrivals, same routing");
         for (x, y) in a.latencies.iter().zip(&b.latencies) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        let fixed = run_open_loop(
+        let fixed = serve_open(
             &mut Server::new(ServeBackend::CpuSeq, ServeTiming::Modeled),
             &model,
             &toy_pool(),

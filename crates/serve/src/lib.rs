@@ -14,18 +14,20 @@
 //!   run publishes its best-so-far snapshot at epoch boundaries while
 //!   requests keep scoring against the previous one (the lock-free
 //!   reader discipline of HOGWILD!, applied to publication).
-//! - [`batcher`]: a request micro-batcher — admission queue, max-batch /
-//!   max-wait policy, batched dispatch through the same gemv/spmv
-//!   kernels training uses, on cpu-seq, cpu-par (persistent pool), or
-//!   the simulated GPU. Dense BLAS batches amortize dispatch overhead
+//! - [`batcher`]: a request micro-batcher — max-batch / max-wait
+//!   policy, batched dispatch through the same gemv/spmv kernels
+//!   training uses, on cpu-seq, cpu-par (persistent pool), or the
+//!   simulated GPU. Dense BLAS batches amortize dispatch overhead
 //!   exactly as the paper's synchronous SGD amortizes kernel launches.
-//! - [`admission`]: overload hardening for the batcher — bounded
-//!   per-tier queues, backpressure, deadlines — where every offered
+//! - [`admission`]: [`run_admitted`], the one serving simulation — open-
+//!   and closed-loop traffic through the batcher behind bounded
+//!   per-tier queues, backpressure, and deadlines, where every offered
 //!   request deterministically resolves to a typed [`RequestOutcome`]
 //!   (completed, shed, or rejected; never a silent drop).
-//! - [`loadgen`]: deterministic open- and closed-loop load generation
-//!   with p50/p95/p99/p999 + throughput/goodput accounting, feeding the
-//!   `serve` and `soak` benches.
+//!   [`AdmissionPolicy::unbounded`] is the plain batcher.
+//! - [`loadgen`]: deterministic open-loop load generation (request
+//!   pools, Poisson arrivals, offered requests) feeding the `serve`,
+//!   `router` and `soak` benches.
 //! - [`wire`]: an optional `std::net` loopback TCP front-end speaking
 //!   LIBSVM-formatted lines through `sgd-datagen`'s typed parser, with
 //!   bounded line buffers, read timeouts, an in-flight bound answering
@@ -49,12 +51,11 @@ pub use admission::{
     run_admitted, AdmissionPolicy, BatchService, ClosedClients, ComputeService, ModeledService,
     OfferedRequest, OutcomeCounts, RequestOutcome,
 };
-pub use batcher::{
-    predict_workload, run_closed_loop, run_open_loop, BatchPolicy, ServeBackend, ServeOutcome,
-    ServeTiming, Server,
-};
+pub use batcher::{predict_workload, BatchPolicy, ServeBackend, ServeOutcome, ServeTiming, Server};
 pub use checkpoint::{Checkpoint, CheckpointError, FORMAT_VERSION, MAGIC};
-pub use loadgen::{offered_requests, open_loop_arrivals, AssembledBatch, RequestPool};
+pub use loadgen::{
+    offered_requests, open_loop_arrivals, open_requests, AssembledBatch, RequestPool,
+};
 pub use model::{ServableModel, TaskDescriptor};
 pub use registry::{CheckpointPublisher, ModelRegistry, PublishedModel};
 pub use stats::LatencySummary;

@@ -4,8 +4,8 @@
 //! inter-arrival times from a `StdRng`): the same seed always produces
 //! the same timestamps, so a modeled-timing serve run is reproducible
 //! bit-for-bit. Closed-loop load (clients re-issuing on completion)
-//! needs no randomness at all and lives in
-//! [`crate::batcher::run_closed_loop`].
+//! needs no randomness at all and is described by
+//! [`crate::admission::ClosedClients`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,15 +96,6 @@ impl RequestPool {
             }
         }
     }
-
-    /// A new pool holding only the given rows (wrapping), preserving the
-    /// representation.
-    pub fn slice_rows(&self, rows: &[usize]) -> RequestPool {
-        match self.assemble(rows) {
-            AssembledBatch::Dense(m) => RequestPool::Dense(m),
-            AssembledBatch::Sparse(m) => RequestPool::Sparse(m),
-        }
-    }
 }
 
 /// One coalesced batch, owning its matrix.
@@ -145,6 +136,16 @@ pub fn open_loop_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
     out
 }
 
+/// One top-priority [`OfferedRequest`] per arrival timestamp: request `i`
+/// arrives at `arrivals[i]` and scores pool row `i`.
+pub fn open_requests(arrivals: &[f64]) -> Vec<OfferedRequest> {
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &arrival)| OfferedRequest { arrival, priority: 0, row: i })
+        .collect()
+}
+
 /// `n` open-loop [`OfferedRequest`]s at `rate` requests/second: Poisson
 /// arrivals from [`open_loop_arrivals`] plus a deterministic priority
 /// tier in `0..tiers` per request (a seeded splitmix64 draw, independent
@@ -153,15 +154,11 @@ pub fn open_loop_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
 /// n, seed, tiers)` ⇒ bit-identical offered load.
 pub fn offered_requests(rate: f64, n: usize, seed: u64, tiers: usize) -> Vec<OfferedRequest> {
     let tiers = tiers.max(1) as u64;
-    open_loop_arrivals(rate, n, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, arrival)| OfferedRequest {
-            arrival,
-            priority: (mix64(seed ^ 0x9d71_f255_u64.wrapping_mul(i as u64 + 1)) % tiers) as usize,
-            row: i,
-        })
-        .collect()
+    let mut requests = open_requests(&open_loop_arrivals(rate, n, seed));
+    for (i, r) in requests.iter_mut().enumerate() {
+        r.priority = (mix64(seed ^ 0x9d71_f255_u64.wrapping_mul(i as u64 + 1)) % tiers) as usize;
+    }
+    requests
 }
 
 /// splitmix64 finalizer: a stateless, seed-stable hash for priority
@@ -238,16 +235,5 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(0).vals, &[2.5, -0.5]);
         assert_eq!(s.row(2).cols, &[1]);
-    }
-
-    #[test]
-    fn slice_rows_round_trips_through_assemble() {
-        let pool = RequestPool::dense(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let sliced = pool.slice_rows(&[2, 0]);
-        assert_eq!(sliced.len(), 2);
-        let AssembledBatch::Dense(m) = sliced.assemble(&[0, 1]) else {
-            panic!("dense stays dense")
-        };
-        assert_eq!(m.as_slice(), &[3.0, 1.0]);
     }
 }

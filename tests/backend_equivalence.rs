@@ -24,9 +24,23 @@ use sgd_study::linalg::pool::with_threads;
 use sgd_study::linalg::{CpuExec, CsrMatrix, Exec, Matrix};
 use sgd_study::models::Examples;
 use sgd_study::serve::{
-    run_open_loop, BatchPolicy, Checkpoint, RequestPool, ServableModel, ServeTiming, Server,
-    TaskDescriptor,
+    open_requests, run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, ClosedClients,
+    ComputeService, RequestPool, ServableModel, ServeOutcome, ServeTiming, Server, TaskDescriptor,
 };
+
+/// Open-loop traffic through the batcher with nothing shed: request `i`
+/// arrives at `arrivals[i]` and scores pool row `i`.
+fn serve_open(
+    srv: &mut Server,
+    model: &ServableModel,
+    pool: &RequestPool,
+    policy: &BatchPolicy,
+    arrivals: &[f64],
+) -> ServeOutcome {
+    let mut svc = ComputeService::new(srv, model, pool);
+    let open = open_requests(arrivals);
+    run_admitted(&mut svc, policy, &AdmissionPolicy::unbounded(), &open, &ClosedClients::none())
+}
 
 /// Deterministic non-trivial weights for a descriptor's model dim.
 fn model_for(descriptor: TaskDescriptor) -> ServableModel {
@@ -150,7 +164,7 @@ fn serving_decisions_are_bitwise_across_backends_and_runs() {
     for backend in ComputeBackend::fixed_set(4) {
         let run = |_: ()| {
             let mut srv = Server::new(backend, ServeTiming::Modeled);
-            run_open_loop(&mut srv, &model, &pool, &policy, &arrivals)
+            serve_open(&mut srv, &model, &pool, &policy, &arrivals)
         };
         let a = run(());
         let b = run(());
@@ -230,7 +244,7 @@ fn router_decisions_replay_exactly() {
 
     let run = |_: ()| {
         let mut srv = Server::routed(ComputeBackend::fixed_set(4).to_vec(), ServeTiming::Modeled);
-        run_open_loop(&mut srv, &model, &pool, &policy, &arrivals)
+        serve_open(&mut srv, &model, &pool, &policy, &arrivals)
     };
     let a = run(());
     let b = run(());

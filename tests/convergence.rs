@@ -1,21 +1,26 @@
-//! End-to-end convergence: every optimizer in the study must actually
-//! optimize every task on generated data, and configurations that share
-//! update semantics must agree exactly.
-//!
-//! This suite deliberately drives the deprecated `run_*` entry points so
-//! the legacy shims stay covered; `engine_equivalence.rs` pins them to
-//! `Engine::run`.
-#![allow(deprecated)]
+//! End-to-end convergence: every optimizer in the study, dispatched
+//! through `Engine::run`, must actually optimize every task on generated
+//! data, and configurations that share update semantics must agree
+//! exactly.
 
 use sgd_study::core::{
-    make_batches, reference_optimum, run_gpu_hogbatch, run_gpu_hogwild, run_hogbatch, run_hogwild,
-    run_hogwild_modeled, run_sync, run_sync_modeled, CpuModelConfig, DeviceKind, GpuAsyncOptions,
-    RunOptions,
+    reference_optimum, Configuration, CpuModelConfig, DeviceKind, Engine, RunOptions, Strategy,
+    Timing,
 };
 use sgd_study::datagen::{
     generate, group_features, normalize_rows, plant_labels, DatasetProfile, GenOptions,
 };
 use sgd_study::models::{lr, svm, Batch, Examples, MlpTask, Task};
+
+fn sync(device: DeviceKind) -> Configuration {
+    Configuration::new(device, Strategy::Sync)
+}
+
+/// The paper's 56-thread Xeon, modeled.
+fn modeled(strategy: Strategy) -> Configuration {
+    let mc = CpuModelConfig::paper_machine(56);
+    Configuration::new(mc.device(), strategy).with_timing(Timing::Modeled(mc))
+}
 
 fn w8a_small() -> sgd_study::datagen::Dataset {
     generate(&DatasetProfile::w8a().scaled(0.02), &GenOptions::default())
@@ -30,9 +35,9 @@ fn sync_converges_on_all_tasks_and_devices() {
     let ds = w8a_small();
     let batch = Batch::new(Examples::Sparse(&ds.x), &ds.y);
     for device in [DeviceKind::CpuSeq, DeviceKind::CpuPar, DeviceKind::Gpu] {
-        let lr_rep = run_sync(&lr(ds.d()), &batch, device, 10.0, &opts(150));
+        let lr_rep = Engine::run(&sync(device), &lr(ds.d()), &batch, 10.0, &opts(150));
         assert!(lr_rep.best_loss() < 0.3, "{device:?} LR loss {}", lr_rep.best_loss());
-        let svm_rep = run_sync(&svm(ds.d()), &batch, device, 10.0, &opts(150));
+        let svm_rep = Engine::run(&sync(device), &svm(ds.d()), &batch, 10.0, &opts(150));
         assert!(svm_rep.best_loss() < 0.45, "{device:?} SVM loss {}", svm_rep.best_loss());
     }
 }
@@ -47,10 +52,10 @@ fn sync_statistical_efficiency_is_device_independent() {
     let batch = Batch::new(Examples::Sparse(&ds.x), &ds.y);
     let task = lr(ds.d());
     let o = opts(20);
-    let seq = run_sync(&task, &batch, DeviceKind::CpuSeq, 1.0, &o);
-    let par = run_sync(&task, &batch, DeviceKind::CpuPar, 1.0, &o);
-    let gpu = run_sync(&task, &batch, DeviceKind::Gpu, 1.0, &o);
-    let modeled = run_sync_modeled(&task, &batch, &CpuModelConfig::paper_machine(56), 1.0, &o);
+    let seq = Engine::run(&sync(DeviceKind::CpuSeq), &task, &batch, 1.0, &o);
+    let par = Engine::run(&sync(DeviceKind::CpuPar), &task, &batch, 1.0, &o);
+    let gpu = Engine::run(&sync(DeviceKind::Gpu), &task, &batch, 1.0, &o);
+    let modeled = Engine::run(&modeled(Strategy::Sync), &task, &batch, 1.0, &o);
     for (((s, p), g), m) in seq
         .trace
         .points()
@@ -71,12 +76,14 @@ fn hogwild_converges_across_thread_counts() {
     let batch = Batch::new(Examples::Sparse(&ds.x), &ds.y);
     let task = lr(ds.d());
     for threads in [1, 2, 4] {
-        let rep = run_hogwild(&task, &batch, threads, 0.5, &opts(80));
+        let device = if threads == 1 { DeviceKind::CpuSeq } else { DeviceKind::CpuPar };
+        let cfg = Configuration::new(device, Strategy::Hogwild);
+        let o = RunOptions { threads, ..opts(80) };
+        let rep = Engine::run(&cfg, &task, &batch, 0.5, &o);
         assert!(rep.best_loss() < 0.25, "threads {threads}: {}", rep.best_loss());
     }
     // Modeled variant converges too.
-    let rep =
-        run_hogwild_modeled(&task, &batch, &CpuModelConfig::paper_machine(56), 0.5, &opts(80));
+    let rep = Engine::run(&modeled(Strategy::Hogwild), &task, &batch, 0.5, &opts(80));
     assert!(rep.best_loss() < 0.25, "modeled: {}", rep.best_loss());
 }
 
@@ -85,7 +92,8 @@ fn gpu_hogwild_converges_on_sparse_data() {
     let ds = w8a_small();
     let batch = Batch::new(Examples::Sparse(&ds.x), &ds.y);
     let task = lr(ds.d());
-    let rep = run_gpu_hogwild(&task, &batch, 0.5, &opts(120), &GpuAsyncOptions::default());
+    let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogwild);
+    let rep = Engine::run(&cfg, &task, &batch, 0.5, &opts(120));
     // Warp-Hogwild loses most intra-warp updates on colliding coordinates,
     // so its statistical efficiency is far worse than CPU Hogwild (the
     // paper's central asynchronous-GPU finding); it converges, slowly.
@@ -106,16 +114,15 @@ fn mlp_pipeline_converges_end_to_end() {
     let o = RunOptions { max_epochs: 600, max_secs: 30.0, plateau: None, ..Default::default() };
 
     let start = task.loss(&mut sgd_study::linalg::CpuExec::seq(), &full, &task.init_model());
-    let sync = run_sync(&task, &full, DeviceKind::Gpu, 3.0, &o);
-    assert!(sync.best_loss() < 0.8 * start, "sync: {} -> {}", start, sync.best_loss());
+    let rep = Engine::run(&sync(DeviceKind::Gpu), &task, &full, 3.0, &o);
+    assert!(rep.best_loss() < 0.8 * start, "sync: {} -> {}", start, rep.best_loss());
 
-    let owned = make_batches(&x, &y, 128);
-    let batches: Vec<Batch<'_>> =
-        owned.iter().map(|(m, l)| Batch::new(Examples::Dense(m), l)).collect();
-    let hog = run_hogbatch(&task, &full, &batches, 2, 1.0, &o);
+    let hogbatch = Strategy::Hogbatch { batch_size: 128 };
+    let cfg = Configuration::new(DeviceKind::CpuPar, hogbatch.clone());
+    let hog = Engine::run(&cfg, &task, &full, 1.0, &RunOptions { threads: 2, ..o.clone() });
     assert!(hog.best_loss() < 0.8 * start, "hogbatch: {}", hog.best_loss());
 
-    let gpu = run_gpu_hogbatch(&task, &full, &batches, 1.0, &o, &GpuAsyncOptions::default());
+    let gpu = Engine::run(&Configuration::new(DeviceKind::Gpu, hogbatch), &task, &full, 1.0, &o);
     assert!(gpu.best_loss() < 0.8 * start, "gpu hogbatch: {}", gpu.best_loss());
 }
 
@@ -126,7 +133,7 @@ fn reference_optimum_is_a_lower_bound_for_grid_runs() {
     let task = svm(ds.d());
     let optimum = reference_optimum(&task, &batch, 100);
     for alpha in [0.1, 1.0, 10.0] {
-        let rep = run_sync(&task, &batch, DeviceKind::CpuSeq, alpha, &opts(100));
+        let rep = Engine::run(&sync(DeviceKind::CpuSeq), &task, &batch, alpha, &opts(100));
         assert!(
             rep.best_loss() >= optimum - 1e-9,
             "alpha {alpha}: run found {} below reference {optimum}",

@@ -8,8 +8,9 @@ use sgd_study::core::{Configuration, DeviceKind, Engine, RunOptions, Strategy};
 use sgd_study::datagen::{generate, Dataset, DatasetProfile, GenOptions};
 use sgd_study::models::{lr, Batch, Examples};
 use sgd_study::serve::{
-    run_open_loop, BatchPolicy, Checkpoint, CheckpointError, CheckpointPublisher, ModelRegistry,
-    RequestPool, ServableModel, ServeBackend, ServeTiming, Server, TaskDescriptor,
+    open_requests, run_admitted, AdmissionPolicy, BatchPolicy, Checkpoint, CheckpointError,
+    CheckpointPublisher, ClosedClients, ComputeService, ModelRegistry, RequestPool, ServableModel,
+    ServeBackend, ServeTiming, Server, TaskDescriptor,
 };
 
 fn small_dataset() -> Dataset {
@@ -56,13 +57,17 @@ fn trained_checkpointed_reloaded_model_serves_identical_predictions() {
     let reloaded = Checkpoint::load(&path).expect("published checkpoint loads");
     let served = ServableModel::from_checkpoint(&reloaded).expect("servable");
     let pool = RequestPool::from_dataset(&ds);
-    let arrivals = vec![0.0; 48];
+    let open = open_requests(&[0.0; 48]);
     let policy = BatchPolicy::new(8, 1e-3);
+    let serve = |backend: ServeBackend, model: &ServableModel| {
+        let mut srv = Server::new(backend, ServeTiming::Modeled);
+        let mut svc = ComputeService::new(&mut srv, model, &pool);
+        let unbounded = AdmissionPolicy::unbounded();
+        run_admitted(&mut svc, &policy, &unbounded, &open, &ClosedClients::none())
+    };
     for backend in backends() {
-        let mut live_srv = Server::new(backend, ServeTiming::Modeled);
-        let mut cold_srv = Server::new(backend, ServeTiming::Modeled);
-        let live = run_open_loop(&mut live_srv, &snap.model, &pool, &policy, &arrivals);
-        let cold = run_open_loop(&mut cold_srv, &served, &pool, &policy, &arrivals);
+        let live = serve(backend, &snap.model);
+        let cold = serve(backend, &served);
         assert_eq!(live.decisions.len(), cold.decisions.len());
         for (i, (a, b)) in live.decisions.iter().zip(&cold.decisions).enumerate() {
             assert_eq!(
