@@ -58,8 +58,10 @@ pub struct WorkerRejoin {
 /// A seeded, deterministic fault schedule carried on
 /// [`crate::RunOptions`] and injected by every runner.
 ///
-/// The default plan is empty: every runner takes its exact fault-free code
-/// path, so reports are bit-identical to runs without the robustness
+/// Every runner has one update loop and always runs it against its plan.
+/// The default plan is empty, and an empty plan makes every decision in
+/// that loop a no-op (no draws fire, no worker dies, dilation is exactly
+/// `1.0`), so reports are bit-identical to runs without the robustness
 /// layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
@@ -115,23 +117,14 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// `true` when the plan injects nothing: runners gate on this and take
-    /// their unmodified code path.
+    /// `true` when the plan injects nothing: every per-event draw,
+    /// death check, and straggler dilation is then a no-op.
     pub fn is_empty(&self) -> bool {
         self.stragglers.iter().all(|s| s.slowdown <= 1.0)
             && self.drop_rate <= 0.0
             && self.stale_rate <= 0.0
             && self.corrupt_rate <= 0.0
             && self.worker_death.is_none()
-    }
-
-    /// `Some(self)` when any fault is configured; the runners' gate.
-    pub(crate) fn active(&self) -> Option<&FaultPlan> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self)
-        }
     }
 
     /// Sets the decision seed.
@@ -231,6 +224,20 @@ impl FaultPlan {
     /// runners use [`FaultPlan::has_dead_worker`] instead and keep going.
     pub fn barrier_stalled(&self, workers: usize, epoch: usize) -> bool {
         self.has_dead_worker(workers, epoch)
+    }
+
+    /// The workers in `0..workers` alive during `epoch`, in index order;
+    /// the dead ones are counted into `fc`. Asynchronous runners dispatch
+    /// only these.
+    pub(crate) fn live_workers(
+        &self,
+        workers: usize,
+        epoch: usize,
+        fc: &mut FaultCounters,
+    ) -> Vec<usize> {
+        let live: Vec<usize> = (0..workers).filter(|&w| !self.worker_dead(w, epoch)).collect();
+        fc.dead_workers += (workers - live.len()) as u64;
+        live
     }
 
     /// The straggler slowdown of one worker (`1.0` when healthy).
@@ -344,12 +351,6 @@ pub(crate) struct SyncFaultDecision {
     pub dropped: bool,
 }
 
-impl SyncFaultDecision {
-    pub(crate) fn none() -> Self {
-        SyncFaultDecision { stale: false, alpha_factor: 1.0, dropped: false }
-    }
-}
-
 /// Draws the synchronous per-epoch fault decisions and tallies them.
 pub(crate) fn sync_epoch_faults(
     plan: &FaultPlan,
@@ -380,7 +381,6 @@ mod tests {
     fn default_plan_is_empty() {
         let p = FaultPlan::default();
         assert!(p.is_empty());
-        assert!(p.active().is_none());
         assert!(!p.drops_update(0, 0));
         assert!(!p.stale_read(3, 7));
         assert_eq!(p.corrupt_factor(1, 2), None);
@@ -459,6 +459,10 @@ mod tests {
         assert!(!p.worker_dead(1, 9));
         assert!(p.barrier_stalled(4, 5));
         assert!(!p.barrier_stalled(2, 5), "dead worker outside the barrier set");
+        let mut fc = FaultCounters::default();
+        assert_eq!(p.live_workers(4, 4, &mut fc), vec![0, 1, 2, 3]);
+        assert_eq!(p.live_workers(4, 5, &mut fc), vec![0, 1, 3]);
+        assert_eq!(fc.dead_workers, 1);
     }
 
     #[test]

@@ -54,12 +54,13 @@ impl Default for GpuAsyncOptions {
 const F64: u64 = std::mem::size_of::<Scalar>() as u64;
 const U32: u64 = std::mem::size_of::<u32>() as u64;
 
-/// Processes one warp of examples functionally, optionally reporting its
-/// memory/compute behaviour to a tracing context. `stale_from` redirects
-/// the phase-1 model reads to a stale snapshot (fault injection);
-/// `dropped` discards the warp's phase-2 store after the gradient work is
-/// done. Returns the number of updates lost to (or serialized by)
-/// intra-warp conflicts.
+/// Processes warp `wi` of examples functionally, optionally reporting its
+/// memory/compute behaviour to a tracing context. The warp is one
+/// asynchronous worker: the plan's per-warp decisions (hashed on `wi`)
+/// are tallied into `fc` and applied — a corrupted warp scales its step, a
+/// stale warp reads `epoch_start` in phase 1, and a dropped warp discards
+/// its phase-2 store after the gradient work is done. Returns the number
+/// of updates lost to (or serialized by) intra-warp conflicts.
 #[allow(clippy::too_many_arguments)]
 fn process_warp(
     loss: &dyn PointwiseLoss,
@@ -70,17 +71,30 @@ fn process_warp(
     atomic: bool,
     ctx: &mut Option<&mut WarpCtx<'_>>,
     addrs: TraceAddrs,
-    stale_from: Option<&[Scalar]>,
-    dropped: bool,
+    plan: &FaultPlan,
+    epoch: usize,
+    wi: usize,
+    epoch_start: &[Scalar],
+    fc: &mut FaultCounters,
 ) -> u64 {
+    let mut alpha = alpha;
+    if let Some(f) = plan.corrupt_factor(epoch, wi) {
+        alpha *= f;
+        fc.corrupted_updates += 1;
+    }
+    let stale = plan.stale_read(epoch, wi);
+    if stale {
+        fc.stale_reads += 1;
+    }
+    let dropped = plan.drops_update(epoch, wi);
+    if dropped {
+        fc.dropped_updates += 1;
+    }
     // Phase 1: lockstep gradient computation — every lane's margin is
     // computed against the model as it stood when the warp arrived (or a
     // stale snapshot of it, when the fault plan says so).
     let mut coeffs: Vec<Scalar> = Vec::with_capacity(lanes.len());
-    let rw: &[Scalar] = match stale_from {
-        Some(s) => s,
-        None => w,
-    };
+    let rw: &[Scalar] = if stale { epoch_start } else { w };
     match batch.x {
         Examples::Sparse(m) => {
             for &i in lanes {
@@ -160,42 +174,6 @@ fn process_warp(
         }
     }
     conflicts
-}
-
-/// Resolves the fault plan's per-warp decisions (the warp index is the
-/// async worker id), tallies them, and runs the warp with the resulting
-/// effects applied.
-#[allow(clippy::too_many_arguments)]
-fn process_faulty_warp(
-    loss: &dyn PointwiseLoss,
-    batch: &Batch<'_>,
-    w: &mut [Scalar],
-    alpha: f64,
-    lanes: &[u32],
-    atomic: bool,
-    ctx: &mut Option<&mut WarpCtx<'_>>,
-    addrs: TraceAddrs,
-    plan: &FaultPlan,
-    epoch: usize,
-    wi: usize,
-    epoch_start: &[Scalar],
-    fc: &mut FaultCounters,
-) -> u64 {
-    let mut a = alpha;
-    if let Some(f) = plan.corrupt_factor(epoch, wi) {
-        a *= f;
-        fc.corrupted_updates += 1;
-    }
-    let stale = plan.stale_read(epoch, wi);
-    if stale {
-        fc.stale_reads += 1;
-    }
-    let dropped = plan.drops_update(epoch, wi);
-    if dropped {
-        fc.dropped_updates += 1;
-    }
-    let stale_from = if stale { Some(epoch_start) } else { None };
-    process_warp(loss, batch, w, a, lanes, atomic, ctx, addrs, stale_from, dropped)
 }
 
 /// Simulated device addresses of the buffers a traced warp touches,
@@ -327,7 +305,7 @@ pub(crate) fn gpu_hogwild_observed<T: Task>(
     let mut rec = Recorder::new(obs);
     let mut probe = GpuEpochProbe::new();
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let mut epoch_start: Vec<Scalar> = Vec::new();
     let addrs = TraceAddrs::resolve(&mut dev, batch, &w);
 
@@ -336,118 +314,61 @@ pub(crate) fn gpu_hogwild_observed<T: Task>(
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
         probe.begin(&dev);
-        let epoch_conflicts: u64;
-        match faults {
-            None => {
-                if epoch < 2 {
-                    let t0 = dev.elapsed_secs();
-                    let w_cell = &mut w;
-                    let mut conflicts = 0u64;
-                    dev.run_kernel(warps.len(), |wi, ctx| {
-                        let mut c = Some(ctx);
-                        conflicts += process_warp(
-                            loss_fn,
-                            batch,
-                            w_cell,
-                            alpha,
-                            warps[wi],
-                            gopts.atomic_updates,
-                            &mut c,
-                            addrs,
-                            None,
-                            false,
-                        );
-                    });
-                    epoch_conflicts = conflicts;
-                    warm_cost = dev.elapsed_secs() - t0;
-                } else {
-                    let mut conflicts = 0u64;
-                    for lanes in &warps {
-                        conflicts += process_warp(
-                            loss_fn,
-                            batch,
-                            &mut w,
-                            alpha,
-                            lanes,
-                            gopts.atomic_updates,
-                            &mut None,
-                            addrs,
-                            None,
-                            false,
-                        );
-                    }
-                    epoch_conflicts = conflicts;
-                    dev.advance_secs(warm_cost);
-                }
-            }
-            Some(plan) => {
-                // One warp = one asynchronous worker: dead warps are
-                // removed from the launch list (the device absorbs the
-                // loss of work), stale/corrupt/drop decisions hash on the
-                // warp index, and a straggler stretches the epoch by the
-                // harmonic dilation instead of stalling a barrier.
-                let epoch_t0 = dev.elapsed_secs();
-                if plan.stale_rate > 0.0 {
-                    epoch_start.resize(w.len(), 0.0);
-                    epoch_start.copy_from_slice(&w);
-                }
-                let live: Vec<usize> =
-                    (0..warps.len()).filter(|&wi| !plan.worker_dead(wi, epoch)).collect();
-                fc.dead_workers = (warps.len() - live.len()) as u64;
-                let mut conflicts = 0u64;
-                if epoch < 2 {
-                    let t0 = dev.elapsed_secs();
-                    let w_cell = &mut w;
-                    let snap = &epoch_start;
-                    let fcr = &mut fc;
-                    let live_ref = &live;
-                    dev.run_kernel(live.len(), |k, ctx| {
-                        let wi = live_ref[k];
-                        let mut c = Some(ctx);
-                        conflicts += process_faulty_warp(
-                            loss_fn,
-                            batch,
-                            w_cell,
-                            alpha,
-                            warps[wi],
-                            gopts.atomic_updates,
-                            &mut c,
-                            addrs,
-                            plan,
-                            epoch,
-                            wi,
-                            snap,
-                            fcr,
-                        );
-                    });
-                    warm_cost = dev.elapsed_secs() - t0;
-                } else {
-                    for &wi in &live {
-                        conflicts += process_faulty_warp(
-                            loss_fn,
-                            batch,
-                            &mut w,
-                            alpha,
-                            warps[wi],
-                            gopts.atomic_updates,
-                            &mut None,
-                            addrs,
-                            plan,
-                            epoch,
-                            wi,
-                            &epoch_start,
-                            &mut fc,
-                        );
-                    }
-                    dev.advance_secs(warm_cost);
-                }
-                epoch_conflicts = conflicts;
-                let es = dev.elapsed_secs() - epoch_t0;
-                let dil = plan.async_dilation(warps.len());
-                fc.straggler_delay_secs = es * (dil - 1.0);
-                dev.advance_secs(fc.straggler_delay_secs);
-            }
+        // One warp = one asynchronous worker: dead warps are removed from
+        // the launch list (the device absorbs the loss of work),
+        // stale/corrupt/drop decisions hash on the warp index, and a
+        // straggler stretches the epoch by the harmonic dilation instead
+        // of stalling a barrier.
+        let epoch_t0 = dev.elapsed_secs();
+        if plan.stale_rate > 0.0 {
+            epoch_start.clone_from(&w);
         }
+        let live = plan.live_workers(warps.len(), epoch, &mut fc);
+        let mut epoch_conflicts = 0u64;
+        if epoch < 2 {
+            dev.run_kernel(live.len(), |k, ctx| {
+                let wi = live[k];
+                epoch_conflicts += process_warp(
+                    loss_fn,
+                    batch,
+                    &mut w,
+                    alpha,
+                    warps[wi],
+                    gopts.atomic_updates,
+                    &mut Some(ctx),
+                    addrs,
+                    plan,
+                    epoch,
+                    wi,
+                    &epoch_start,
+                    &mut fc,
+                );
+            });
+            warm_cost = dev.elapsed_secs() - epoch_t0;
+        } else {
+            for &wi in &live {
+                epoch_conflicts += process_warp(
+                    loss_fn,
+                    batch,
+                    &mut w,
+                    alpha,
+                    warps[wi],
+                    gopts.atomic_updates,
+                    &mut None,
+                    addrs,
+                    plan,
+                    epoch,
+                    wi,
+                    &epoch_start,
+                    &mut fc,
+                );
+            }
+            dev.advance_secs(warm_cost);
+        }
+        let es = dev.elapsed_secs() - epoch_t0;
+        let dil = plan.async_dilation(warps.len());
+        fc.straggler_delay_secs = es * (dil - 1.0);
+        dev.advance_secs(fc.straggler_delay_secs);
         conflicts_total += epoch_conflicts;
         let (cycles, l2) = probe.end(&dev);
         let loss = task.loss(&mut eval, batch, &w); // untimed
@@ -501,7 +422,12 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
     let mut rec = Recorder::new(obs);
     let mut probe = GpuEpochProbe::new();
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
+    // Batches are enqueued round-robin by `opts.threads` host workers: a
+    // dead worker's batches never launch, decisions hash on the batch
+    // index, a straggling enqueuer stretches the serialized stream by the
+    // harmonic dilation.
+    let workers = opts.threads.max(1);
     let mut epoch_start: Vec<Scalar> = Vec::new();
 
     let mut warm_cost = 0.0;
@@ -509,101 +435,61 @@ pub(crate) fn gpu_hogbatch_observed<T: Task>(
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
         probe.begin(&dev);
-        match faults {
-            None => {
-                if epoch == 0 {
-                    let t0 = dev.elapsed_secs();
-                    for b in batches {
-                        let k0 = dev.stats().kernels_launched;
-                        let mut e = GpuExec::new(&mut dev);
-                        task.gradient(&mut e, b, &w, &mut g);
-                        e.axpy(-alpha, &g, &mut w);
-                        let launches = dev.stats().kernels_launched - k0;
-                        dev.advance_secs(gopts.host_sync_overhead_secs * launches as f64);
-                    }
-                    warm_cost = dev.elapsed_secs() - t0;
-                } else {
-                    for b in batches {
-                        task.gradient(&mut cpu, b, &w, &mut g);
-                        cpu.axpy(-alpha, &g, &mut w);
-                    }
-                    dev.advance_secs(warm_cost);
-                }
+        let epoch_t0 = dev.elapsed_secs();
+        if plan.has_dead_worker(workers, epoch) {
+            fc.dead_workers = 1;
+        }
+        if plan.stale_rate > 0.0 {
+            epoch_start.clone_from(&w);
+        }
+        // Epoch 0 traces the real kernel stream; later epochs replay its
+        // cost while computing the numerically identical updates on the
+        // host.
+        let traced = epoch == 0;
+        for (bi, b) in batches.iter().enumerate() {
+            if plan.worker_dead(bi % workers, epoch) {
+                continue;
             }
-            Some(plan) => {
-                // Batches are enqueued round-robin by `opts.threads` host
-                // workers: a dead worker's batches never launch, decisions
-                // hash on the batch index, a straggling enqueuer stretches
-                // the serialized stream by the harmonic dilation.
-                let epoch_t0 = dev.elapsed_secs();
-                let workers = opts.threads.max(1);
-                if plan.has_dead_worker(workers, epoch) {
-                    fc.dead_workers = 1;
+            let read: &[Scalar] = if plan.stale_read(epoch, bi) {
+                fc.stale_reads += 1;
+                &epoch_start
+            } else {
+                &w
+            };
+            let mut a = alpha;
+            if let Some(f) = plan.corrupt_factor(epoch, bi) {
+                a *= f;
+                fc.corrupted_updates += 1;
+            }
+            let dropped = plan.drops_update(epoch, bi);
+            if dropped {
+                fc.dropped_updates += 1;
+            }
+            if traced {
+                let k0 = dev.stats().kernels_launched;
+                let mut e = GpuExec::new(&mut dev);
+                task.gradient(&mut e, b, read, &mut g);
+                if !dropped {
+                    e.axpy(-a, &g, &mut w);
                 }
-                if plan.stale_rate > 0.0 {
-                    epoch_start.resize(w.len(), 0.0);
-                    epoch_start.copy_from_slice(&w);
+                let launches = dev.stats().kernels_launched - k0;
+                dev.advance_secs(gopts.host_sync_overhead_secs * launches as f64);
+            } else {
+                task.gradient(&mut cpu, b, read, &mut g);
+                if !dropped {
+                    cpu.axpy(-a, &g, &mut w);
                 }
-                if epoch == 0 {
-                    let t0 = dev.elapsed_secs();
-                    for (bi, b) in batches.iter().enumerate() {
-                        if plan.worker_dead(bi % workers, epoch) {
-                            continue;
-                        }
-                        let k0 = dev.stats().kernels_launched;
-                        let mut e = GpuExec::new(&mut dev);
-                        let read: &[Scalar] = if plan.stale_read(epoch, bi) {
-                            fc.stale_reads += 1;
-                            &epoch_start
-                        } else {
-                            &w
-                        };
-                        task.gradient(&mut e, b, read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, bi) {
-                            a *= f;
-                            fc.corrupted_updates += 1;
-                        }
-                        if plan.drops_update(epoch, bi) {
-                            fc.dropped_updates += 1;
-                        } else {
-                            e.axpy(-a, &g, &mut w);
-                        }
-                        let launches = dev.stats().kernels_launched - k0;
-                        dev.advance_secs(gopts.host_sync_overhead_secs * launches as f64);
-                    }
-                    warm_cost = dev.elapsed_secs() - t0;
-                } else {
-                    for (bi, b) in batches.iter().enumerate() {
-                        if plan.worker_dead(bi % workers, epoch) {
-                            continue;
-                        }
-                        let read: &[Scalar] = if plan.stale_read(epoch, bi) {
-                            fc.stale_reads += 1;
-                            &epoch_start
-                        } else {
-                            &w
-                        };
-                        task.gradient(&mut cpu, b, read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, bi) {
-                            a *= f;
-                            fc.corrupted_updates += 1;
-                        }
-                        if plan.drops_update(epoch, bi) {
-                            fc.dropped_updates += 1;
-                        } else {
-                            cpu.axpy(-a, &g, &mut w);
-                        }
-                    }
-                    dev.advance_secs(warm_cost);
-                }
-                let es = dev.elapsed_secs() - epoch_t0;
-                let dil = plan.async_dilation(workers);
-                fc.straggler_delay_secs = es * (dil - 1.0);
-                dev.advance_secs(fc.straggler_delay_secs);
             }
         }
+        if traced {
+            warm_cost = dev.elapsed_secs() - epoch_t0;
+        } else {
+            dev.advance_secs(warm_cost);
+        }
+        let es = dev.elapsed_secs() - epoch_t0;
+        let dil = plan.async_dilation(workers);
+        fc.straggler_delay_secs = es * (dil - 1.0);
+        dev.advance_secs(fc.straggler_delay_secs);
         let (cycles, l2) = probe.end(&dev);
         let loss = task.loss(&mut eval, full, &w);
         trace.push(dev.elapsed_secs(), loss);

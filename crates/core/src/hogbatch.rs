@@ -55,7 +55,7 @@ pub(crate) fn hogbatch_observed<T: Task>(
     let threads = threads.max(1);
     // Pin the ambient kernel width to the worker count for the whole run
     // (inherited by the pooled workers and the untimed loss evaluations).
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         hogbatch_run(task, full, batches, threads, alpha, opts, obs)
     })
 }
@@ -84,91 +84,59 @@ fn hogbatch_run<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let tally = FaultTally::new();
 
     let mut opt_seconds = 0.0;
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
         let t0 = Instant::now();
-        match faults {
-            None => {
-                crate::pool::run_workers(threads, |t| {
-                    let mut e = CpuExec::seq();
-                    let mut w = vec![0.0; dim];
-                    let mut g = vec![0.0; dim];
-                    let mut b = t;
-                    while b < batches.len() {
-                        // Stale snapshot, gradient, lock-free scatter.
-                        model.snapshot_into(&mut w);
-                        task.gradient(&mut e, &batches[b], &w, &mut g);
-                        for (j, &gj) in g.iter().enumerate() {
-                            if gj != 0.0 {
-                                model.add(j, -alpha * gj);
-                            }
+        // `snapshot` still holds the epoch-start model (refreshed only
+        // after the epoch): the stale-read target. Death decisions key on
+        // the worker index, so they are taken here before dispatch; a
+        // dead worker's batches are skipped and the rest carry on.
+        let alive = plan.live_workers(threads, epoch, &mut fc);
+        sgd_linalg::pool::run(alive.len(), |i| {
+            let t = alive[i];
+            let mut e = CpuExec::seq();
+            let mut w = vec![0.0; dim];
+            let mut g = vec![0.0; dim];
+            let (mut dropped, mut stale_n, mut corrupted) = (0u64, 0u64, 0u64);
+            let mut b = t;
+            while b < batches.len() {
+                // Stale snapshot, gradient, lock-free scatter.
+                model.snapshot_into(&mut w);
+                let stale = plan.stale_read(epoch, b);
+                let read: &[Scalar] = if stale {
+                    stale_n += 1;
+                    &snapshot
+                } else {
+                    &w
+                };
+                task.gradient(&mut e, &batches[b], read, &mut g);
+                let mut a = alpha;
+                if let Some(f) = plan.corrupt_factor(epoch, b) {
+                    a *= f;
+                    corrupted += 1;
+                }
+                if plan.drops_update(epoch, b) {
+                    dropped += 1;
+                } else {
+                    for (j, &gj) in g.iter().enumerate() {
+                        if gj != 0.0 {
+                            model.add(j, -a * gj);
                         }
-                        b += threads;
-                    }
-                });
-            }
-            Some(plan) => {
-                // `snapshot` still holds the epoch-start model (refreshed
-                // only after the epoch): the stale-read target. Death
-                // decisions key on the worker index, so they are taken
-                // here before dispatch; a dead worker's batches are
-                // skipped and the rest carry on.
-                let mut alive: Vec<usize> = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    if plan.worker_dead(t, epoch) {
-                        fc.dead_workers += 1;
-                    } else {
-                        alive.push(t);
                     }
                 }
-                crate::pool::run_workers(alive.len(), |i| {
-                    let t = alive[i];
-                    let mut e = CpuExec::seq();
-                    let mut w = vec![0.0; dim];
-                    let mut g = vec![0.0; dim];
-                    let (mut dropped, mut stale_n, mut corrupted) = (0u64, 0u64, 0u64);
-                    let mut b = t;
-                    while b < batches.len() {
-                        model.snapshot_into(&mut w);
-                        let stale = plan.stale_read(epoch, b);
-                        let read: &[Scalar] = if stale {
-                            stale_n += 1;
-                            &snapshot
-                        } else {
-                            &w
-                        };
-                        task.gradient(&mut e, &batches[b], read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, b) {
-                            a *= f;
-                            corrupted += 1;
-                        }
-                        if plan.drops_update(epoch, b) {
-                            dropped += 1;
-                        } else {
-                            for (j, &gj) in g.iter().enumerate() {
-                                if gj != 0.0 {
-                                    model.add(j, -a * gj);
-                                }
-                            }
-                        }
-                        b += threads;
-                    }
-                    tally.add(dropped, stale_n, corrupted);
-                });
+                b += threads;
             }
-        }
+            tally.add(dropped, stale_n, corrupted);
+        });
         let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
-            let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        tally.drain_into(&mut fc);
+        let dil = plan.async_dilation(threads);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
 
         model.snapshot_into(&mut snapshot);

@@ -34,60 +34,14 @@ pub(crate) fn shuffled_order(n: usize, seed: u64) -> Vec<u32> {
     order
 }
 
-/// One thread's pass over its partition of the examples.
-pub(crate) fn hogwild_worker<L: PointwiseLoss + ?Sized>(
-    loss: &L,
-    batch: &Batch<'_>,
-    model: &SharedModel,
-    alpha: f64,
-    part: &[u32],
-) {
-    match batch.x {
-        Examples::Sparse(m) => {
-            for &i in part {
-                let i = i as usize;
-                let row = m.row(i);
-                let mut margin = 0.0;
-                for (&c, &v) in row.cols.iter().zip(row.vals) {
-                    margin += v * model.read(c as usize);
-                }
-                let s = loss.dloss_at(margin, batch.y[i]);
-                if s != 0.0 {
-                    let step = -alpha * s;
-                    for (&c, &v) in row.cols.iter().zip(row.vals) {
-                        model.add(c as usize, step * v);
-                    }
-                }
-            }
-        }
-        Examples::Dense(m) => {
-            for &i in part {
-                let i = i as usize;
-                let row = m.row(i);
-                let mut margin = 0.0;
-                for (j, &v) in row.iter().enumerate() {
-                    margin += v * model.read(j);
-                }
-                let s = loss.dloss_at(margin, batch.y[i]);
-                if s != 0.0 {
-                    let step = -alpha * s;
-                    for (j, &v) in row.iter().enumerate() {
-                        if v != 0.0 {
-                            model.add(j, step * v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`hogwild_worker`] with per-example fault injection: stale margins are
-/// computed against the epoch-start model, corrupted steps are scaled by
-/// the plan's noise factor, and dropped updates are computed but never
-/// written back (the Hogwild failure mode HOGWILD! claims to tolerate).
+/// One thread's pass over its partition of the examples, with the plan's
+/// per-example faults injected: stale margins are computed against the
+/// epoch-start model, corrupted steps are scaled by the plan's noise
+/// factor, and dropped updates are computed but never written back (the
+/// Hogwild failure mode HOGWILD! claims to tolerate). Under an empty plan
+/// every decision is a no-op and `stale_model` is never read.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn hogwild_worker_faulty<L: PointwiseLoss + ?Sized>(
+pub(crate) fn hogwild_worker<L: PointwiseLoss + ?Sized>(
     loss: &L,
     batch: &Batch<'_>,
     model: &SharedModel,
@@ -188,7 +142,7 @@ pub(crate) fn hogwild_observed<T: Task>(
     // Pin the ambient kernel width to the worker count for the whole run:
     // pool tasks inherit it, so neither the per-partition workers nor the
     // (untimed) loss evaluations ever fan out to machine width.
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         hogwild_run(task, loss_fn, batch, threads, alpha, opts, obs)
     })
 }
@@ -228,65 +182,30 @@ fn hogwild_run<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let tally = FaultTally::new();
 
     let mut opt_seconds = 0.0;
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
         let t0 = Instant::now();
-        match faults {
-            None => {
-                if threads == 1 {
-                    hogwild_worker(loss_fn, batch, &model, alpha, &order);
-                } else {
-                    crate::pool::run_workers(parts.len(), |t| {
-                        hogwild_worker(loss_fn, batch, &model, alpha, parts[t])
-                    });
-                }
-            }
-            Some(plan) => {
-                // `snapshot` still holds the epoch-start model here (it is
-                // refreshed only after the epoch) — reuse it as the stale
-                // target. A dead worker's partition is simply skipped: the
-                // surviving workers carry on (graceful degradation).
-                if threads == 1 {
-                    if plan.worker_dead(0, epoch) {
-                        fc.dead_workers = 1;
-                    } else {
-                        hogwild_worker_faulty(
-                            loss_fn, batch, &model, alpha, &order, plan, epoch, &snapshot, &tally,
-                        );
-                    }
-                } else {
-                    // Death decisions key on the partition index, so they
-                    // are taken here before dispatch; only the surviving
-                    // partitions are handed to the pool.
-                    let mut alive: Vec<&[u32]> = Vec::with_capacity(parts.len());
-                    for (t, part) in parts.iter().enumerate() {
-                        if plan.worker_dead(t, epoch) {
-                            fc.dead_workers += 1;
-                        } else {
-                            alive.push(part);
-                        }
-                    }
-                    crate::pool::run_workers(alive.len(), |t| {
-                        hogwild_worker_faulty(
-                            loss_fn, batch, &model, alpha, alive[t], plan, epoch, &snapshot, &tally,
-                        )
-                    });
-                }
-            }
-        }
+        // Death decisions key on the partition index, so they are taken
+        // here before dispatch; only the surviving partitions are handed
+        // to the pool (graceful degradation). `snapshot` still holds the
+        // epoch-start model here (it is refreshed only after the epoch):
+        // the stale-read target.
+        let alive = plan.live_workers(parts.len(), epoch, &mut fc);
+        sgd_linalg::pool::run(alive.len(), |i| {
+            let part = parts[alive[i]];
+            hogwild_worker(loss_fn, batch, &model, alpha, part, plan, epoch, &snapshot, &tally)
+        });
         let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
-            // Independent workers absorb a straggler: only its throughput
-            // share is lost, never the whole barrier.
-            let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        tally.drain_into(&mut fc);
+        // Independent workers absorb a straggler: only its throughput
+        // share is lost, never the whole barrier.
+        let dil = plan.async_dilation(threads);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
 
         model.snapshot_into(&mut snapshot);

@@ -54,7 +54,6 @@ mod hogbatch;
 mod hogwild;
 mod metrics;
 mod modeled;
-pub mod pool;
 mod replication;
 mod report;
 mod shared_model;

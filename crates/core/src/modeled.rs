@@ -18,7 +18,7 @@ use sgd_models::{Batch, Examples, PointwiseLoss, Task};
 
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
-use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
+use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan};
 use crate::hogwild::shuffled_order;
 use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::report::RunReport;
@@ -82,24 +82,19 @@ pub(crate) fn sync_modeled_observed<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let workers = mc.threads.max(1);
     // Straggler stalls charged on top of the cost model's own clock.
     let mut extra = 0.0;
     let mut model_secs_at_epoch_start = 0.0;
     for epoch in 0..opts.max_epochs {
-        if let Some(plan) = faults {
-            if plan.barrier_stalled(workers, epoch) {
-                sup.abort(epoch + 1);
-                break;
-            }
+        if plan.barrier_stalled(workers, epoch) {
+            sup.abort(epoch + 1);
+            break;
         }
         let mut fc = FaultCounters::default();
         task.gradient(&mut e, batch, &w, &mut g);
-        let d = match faults {
-            Some(plan) => sync_epoch_faults(plan, epoch, &mut fc),
-            None => SyncFaultDecision::none(),
-        };
+        let d = sync_epoch_faults(plan, epoch, &mut fc);
         if !d.dropped {
             let step = if d.stale { &prev_g } else { &g };
             e.axpy(-alpha * d.alpha_factor, step, &mut w);
@@ -107,12 +102,10 @@ pub(crate) fn sync_modeled_observed<T: Task>(
         if !d.stale {
             std::mem::swap(&mut g, &mut prev_g);
         }
-        if let Some(plan) = faults {
-            // The modeled barrier waits for the slowest straggler.
-            let dil = plan.sync_dilation(workers);
-            fc.straggler_delay_secs = (e.elapsed_secs() - model_secs_at_epoch_start) * (dil - 1.0);
-            extra += fc.straggler_delay_secs;
-        }
+        // The modeled barrier waits for the slowest straggler.
+        let dil = plan.sync_dilation(workers);
+        fc.straggler_delay_secs = (e.elapsed_secs() - model_secs_at_epoch_start) * (dil - 1.0);
+        extra += fc.straggler_delay_secs;
         model_secs_at_epoch_start = e.elapsed_secs();
         let elapsed = e.elapsed_secs() + extra;
         let loss = task.loss(&mut eval, batch, &w); // untimed
@@ -139,70 +132,15 @@ pub(crate) fn sync_modeled_observed<T: Task>(
 /// One bounded-staleness epoch for a linear task: rounds of `round`
 /// examples read the pre-round model, updates apply additively at round
 /// end. `round == 1` is exactly sequential incremental SGD.
-pub(crate) fn staleness_epoch<L: PointwiseLoss + ?Sized>(
-    loss: &L,
-    batch: &Batch<'_>,
-    w: &mut [Scalar],
-    alpha: f64,
-    order: &[u32],
-    round: usize,
-) {
-    let round = round.max(1);
-    let mut pending: Vec<(u32, Scalar)> = Vec::with_capacity(round * 8);
-    for chunk in order.chunks(round) {
-        pending.clear();
-        for &i in chunk {
-            let i = i as usize;
-            match batch.x {
-                Examples::Sparse(m) => {
-                    let row = m.row(i);
-                    let margin: Scalar =
-                        row.cols.iter().zip(row.vals).map(|(&c, &v)| v * w[c as usize]).sum();
-                    let s = loss.dloss_at(margin, batch.y[i]);
-                    if s != 0.0 {
-                        let step = -alpha * s;
-                        if round == 1 {
-                            for (&c, &v) in row.cols.iter().zip(row.vals) {
-                                w[c as usize] += step * v;
-                            }
-                        } else {
-                            pending.extend(
-                                row.cols.iter().zip(row.vals).map(|(&c, &v)| (c, step * v)),
-                            );
-                        }
-                    }
-                }
-                Examples::Dense(m) => {
-                    let row = m.row(i);
-                    let margin: Scalar = row.iter().zip(w.iter()).map(|(&v, &wj)| v * wj).sum();
-                    let s = loss.dloss_at(margin, batch.y[i]);
-                    if s != 0.0 {
-                        let step = -alpha * s;
-                        if round == 1 {
-                            for (j, &v) in row.iter().enumerate() {
-                                w[j] += step * v;
-                            }
-                        } else {
-                            pending
-                                .extend(row.iter().enumerate().map(|(j, &v)| (j as u32, step * v)));
-                        }
-                    }
-                }
-            }
-        }
-        for &(c, d) in &pending {
-            w[c as usize] += d;
-        }
-    }
-}
-
-/// [`staleness_epoch`] with per-example fault injection. Each lane of a
+///
+/// The plan's per-example faults are injected on the way. Each lane of a
 /// round is one modeled worker: a dead lane's examples are skipped, stale
-/// reads come from the epoch-start model, corrupted steps are scaled, and
-/// dropped updates never land. Decisions hash on the example index, so the
-/// schedule is independent of the round size.
+/// reads come from `epoch_start`, corrupted steps are scaled, and dropped
+/// updates never land. Decisions hash on the example index, so the
+/// schedule is independent of the round size. `epoch_start` is read only
+/// when the plan draws stale reads.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn staleness_epoch_faulty<L: PointwiseLoss + ?Sized>(
+pub(crate) fn staleness_epoch<L: PointwiseLoss + ?Sized>(
     loss: &L,
     batch: &Batch<'_>,
     w: &mut [Scalar],
@@ -321,41 +259,33 @@ pub(crate) fn hogwild_modeled_observed<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let mut epoch_start: Vec<Scalar> = Vec::new();
     let mut elapsed = 0.0;
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
-        let mut secs = epoch_secs;
-        match faults {
-            None => staleness_epoch(loss_fn, batch, &mut w, alpha, &order, mc.threads),
-            Some(plan) => {
-                if epoch_start.len() == w.len() {
-                    epoch_start.copy_from_slice(&w);
-                } else {
-                    epoch_start = w.clone();
-                }
-                if plan.has_dead_worker(mc.threads, epoch) {
-                    fc.dead_workers = 1;
-                }
-                staleness_epoch_faulty(
-                    loss_fn,
-                    batch,
-                    &mut w,
-                    alpha,
-                    &order,
-                    mc.threads,
-                    plan,
-                    epoch,
-                    &epoch_start,
-                    &mut fc,
-                );
-                // Independent modeled workers absorb the straggler.
-                let dil = plan.async_dilation(mc.threads);
-                fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-                secs = epoch_secs * dil;
-            }
+        if plan.stale_rate > 0.0 {
+            epoch_start.clone_from(&w);
         }
+        if plan.has_dead_worker(mc.threads, epoch) {
+            fc.dead_workers = 1;
+        }
+        staleness_epoch(
+            loss_fn,
+            batch,
+            &mut w,
+            alpha,
+            &order,
+            mc.threads,
+            plan,
+            epoch,
+            &epoch_start,
+            &mut fc,
+        );
+        // Independent modeled workers absorb the straggler.
+        let dil = plan.async_dilation(mc.threads);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        let secs = epoch_secs * dil;
         elapsed += secs;
         let loss = task.loss(&mut eval, batch, &w);
         trace.push(elapsed, loss);
@@ -442,7 +372,7 @@ pub(crate) fn hogbatch_modeled_observed<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let workers = mc.threads.max(1);
     let mut epoch_start: Vec<Scalar> = Vec::new();
     let mut elapsed = 0.0;
@@ -450,65 +380,47 @@ pub(crate) fn hogbatch_modeled_observed<T: Task>(
     let mut snapshot = vec![0.0; dim];
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
-        let mut secs = epoch_secs;
-        match faults {
-            None => {
-                // Rounds of `threads` batches share a stale snapshot.
-                for group in batches.chunks(workers) {
-                    snapshot.copy_from_slice(&w);
-                    for b in group {
-                        task.gradient(&mut cpu, b, &snapshot, &mut g);
-                        for (wj, &gj) in w.iter_mut().zip(&g) {
-                            *wj -= alpha * gj;
-                        }
-                    }
+        if plan.stale_rate > 0.0 {
+            epoch_start.clone_from(&w);
+        }
+        if plan.has_dead_worker(workers, epoch) {
+            fc.dead_workers = 1;
+        }
+        // Rounds of `threads` batches share a stale snapshot. Lane index
+        // within a round = modeled worker id; fault decisions hash on the
+        // global batch index.
+        let mut idx = 0usize;
+        for group in batches.chunks(workers) {
+            snapshot.copy_from_slice(&w);
+            for (lane, b) in group.iter().enumerate() {
+                let bi = idx;
+                idx += 1;
+                if plan.worker_dead(lane, epoch) {
+                    continue;
                 }
-            }
-            Some(plan) => {
-                if epoch_start.len() == w.len() {
-                    epoch_start.copy_from_slice(&w);
-                } else {
-                    epoch_start = w.clone();
+                let stale = plan.stale_read(epoch, bi);
+                if stale {
+                    fc.stale_reads += 1;
                 }
-                if plan.has_dead_worker(workers, epoch) {
-                    fc.dead_workers = 1;
+                let read: &[Scalar] = if stale { &epoch_start } else { &snapshot };
+                task.gradient(&mut cpu, b, read, &mut g);
+                let mut a = alpha;
+                if let Some(f) = plan.corrupt_factor(epoch, bi) {
+                    a *= f;
+                    fc.corrupted_updates += 1;
                 }
-                // Lane index within a round = modeled worker id; fault
-                // decisions hash on the global batch index.
-                let mut idx = 0usize;
-                for group in batches.chunks(workers) {
-                    snapshot.copy_from_slice(&w);
-                    for (lane, b) in group.iter().enumerate() {
-                        let bi = idx;
-                        idx += 1;
-                        if plan.worker_dead(lane, epoch) {
-                            continue;
-                        }
-                        let stale = plan.stale_read(epoch, bi);
-                        if stale {
-                            fc.stale_reads += 1;
-                        }
-                        let read: &[Scalar] = if stale { &epoch_start } else { &snapshot };
-                        task.gradient(&mut cpu, b, read, &mut g);
-                        let mut a = alpha;
-                        if let Some(f) = plan.corrupt_factor(epoch, bi) {
-                            a *= f;
-                            fc.corrupted_updates += 1;
-                        }
-                        if plan.drops_update(epoch, bi) {
-                            fc.dropped_updates += 1;
-                            continue;
-                        }
-                        for (wj, &gj) in w.iter_mut().zip(&g) {
-                            *wj -= a * gj;
-                        }
-                    }
+                if plan.drops_update(epoch, bi) {
+                    fc.dropped_updates += 1;
+                    continue;
                 }
-                let dil = plan.async_dilation(workers);
-                fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-                secs = epoch_secs * dil;
+                for (wj, &gj) in w.iter_mut().zip(&g) {
+                    *wj -= a * gj;
+                }
             }
         }
+        let dil = plan.async_dilation(workers);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        let secs = epoch_secs * dil;
         elapsed += secs;
         let loss = task.loss(&mut eval, full, &w);
         trace.push(elapsed, loss);
@@ -647,7 +559,8 @@ mod tests {
         let task = lr(16);
         let order = crate::hogwild::shuffled_order(128, 1);
         let mut w1 = task.init_model();
-        staleness_epoch(task.pointwise(), &b, &mut w1, 0.3, &order, 1);
+        let (plan, mut fc) = (crate::FaultPlan::default(), FaultCounters::default());
+        staleness_epoch(task.pointwise(), &b, &mut w1, 0.3, &order, 1, &plan, 0, &[], &mut fc);
         // Reference: plain incremental updates in the same order.
         let mut w2 = task.init_model();
         for &i in &order {

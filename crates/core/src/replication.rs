@@ -17,7 +17,7 @@ use sgd_models::{Batch, PointwiseLoss, Task};
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
 use crate::faults::{FaultCounters, FaultTally};
-use crate::hogwild::{hogwild_worker, hogwild_worker_faulty, shuffled_order};
+use crate::hogwild::{hogwild_worker, shuffled_order};
 use crate::metrics::{EpochMetrics, EpochObserver, Recorder};
 use crate::modeled::batch_stats;
 use crate::report::RunReport;
@@ -73,7 +73,7 @@ pub(crate) fn replicated_observed<T: Task>(
     let threads = threads.max(1);
     // Pin the ambient kernel width to the worker count for the whole run
     // (inherited by the pooled workers and the untimed loss evaluations).
-    crate::pool::with_threads(threads, || {
+    sgd_linalg::pool::with_threads(threads, || {
         replicated_run(task, loss_fn, batch, threads, alpha, replication, opts, obs)
     })
 }
@@ -117,50 +117,25 @@ fn replicated_run<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let tally = FaultTally::new();
 
     let mut opt_seconds = 0.0;
     for epoch in 0..opts.max_epochs {
         let mut fc = FaultCounters::default();
         let t0 = Instant::now();
-        match faults {
-            None => {
-                crate::pool::run_workers(parts.len(), |t| {
-                    hogwild_worker(loss_fn, batch, &replicas[t % n_replicas], alpha, parts[t])
-                });
-            }
-            Some(plan) => {
-                // `avg` still holds the epoch-start averaged model (every
-                // replica was reset to it at the previous boundary): the
-                // stale-read target. Death decisions key on the partition
-                // index, so they are taken here before dispatch; dead
-                // workers' partitions are skipped, and the survivors keep
-                // their original replica assignment (`t % n_replicas`).
-                let mut alive: Vec<usize> = Vec::with_capacity(parts.len());
-                for t in 0..parts.len() {
-                    if plan.worker_dead(t, epoch) {
-                        fc.dead_workers += 1;
-                    } else {
-                        alive.push(t);
-                    }
-                }
-                crate::pool::run_workers(alive.len(), |i| {
-                    let t = alive[i];
-                    hogwild_worker_faulty(
-                        loss_fn,
-                        batch,
-                        &replicas[t % n_replicas],
-                        alpha,
-                        parts[t],
-                        plan,
-                        epoch,
-                        &avg,
-                        &tally,
-                    )
-                });
-            }
-        }
+        // `avg` still holds the epoch-start averaged model (every replica
+        // was reset to it at the previous boundary): the stale-read
+        // target. Death decisions key on the partition index, so they are
+        // taken here before dispatch; dead workers' partitions are
+        // skipped, and the survivors keep their original replica
+        // assignment (`t % n_replicas`).
+        let alive = plan.live_workers(parts.len(), epoch, &mut fc);
+        sgd_linalg::pool::run(alive.len(), |i| {
+            let t = alive[i];
+            let replica = &replicas[t % n_replicas];
+            hogwild_worker(loss_fn, batch, replica, alpha, parts[t], plan, epoch, &avg, &tally)
+        });
 
         // Epoch-boundary averaging (counted in optimization time: it is
         // part of the algorithm, unlike loss evaluation).
@@ -169,12 +144,10 @@ fn replicated_run<T: Task>(
             r.store_from(&avg);
         }
         let mut epoch_secs = t0.elapsed().as_secs_f64();
-        if let Some(plan) = faults {
-            tally.drain_into(&mut fc);
-            let dil = plan.async_dilation(threads);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        tally.drain_into(&mut fc);
+        let dil = plan.async_dilation(threads);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
 
         let loss = task.loss(&mut eval, batch, &avg);

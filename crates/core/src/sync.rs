@@ -13,7 +13,7 @@ use sgd_models::{Batch, Task};
 use crate::backend::{BackendSession, ComputeBackend, ExecTask};
 use crate::config::{DeviceKind, RunOptions};
 use crate::convergence::LossTrace;
-use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan, SyncFaultDecision};
+use crate::faults::{sync_epoch_faults, FaultCounters, FaultPlan};
 use crate::metrics::{EpochMetrics, EpochObserver, GpuEpochProbe, Recorder};
 use crate::report::RunReport;
 use crate::supervisor::Supervisor;
@@ -69,7 +69,7 @@ struct SyncEpochJob<'a, T: Task> {
     batch: &'a Batch<'a>,
     alpha: f64,
     epoch: usize,
-    faults: Option<&'a FaultPlan>,
+    plan: &'a FaultPlan,
     w: &'a mut Vec<f64>,
     g: &'a mut Vec<f64>,
     prev_g: &'a mut Vec<f64>,
@@ -80,10 +80,7 @@ impl<T: Task> ExecTask for SyncEpochJob<'_, T> {
     type Out = ();
     fn run<E: Exec>(&mut self, e: &mut E) {
         self.task.gradient(e, self.batch, self.w, self.g);
-        let d = match self.faults {
-            Some(plan) => sync_epoch_faults(plan, self.epoch, self.fc),
-            None => SyncFaultDecision::none(),
-        };
+        let d = sync_epoch_faults(self.plan, self.epoch, self.fc);
         if !d.dropped {
             let step = if d.stale { &*self.prev_g } else { &*self.g };
             e.axpy(-self.alpha * d.alpha_factor, step, self.w);
@@ -113,17 +110,15 @@ fn cpu_run<T: Task>(
     trace.push(0.0, initial_loss);
     let mut rec = Recorder::new(obs);
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let workers = opts.threads.max(1);
     let mut opt_seconds = 0.0;
     for epoch in 0..opts.max_epochs {
-        if let Some(plan) = faults {
-            if plan.barrier_stalled(workers, epoch) {
-                // A dead worker never reaches the barrier: the epoch can
-                // never complete.
-                sup.abort(epoch + 1);
-                break;
-            }
+        if plan.barrier_stalled(workers, epoch) {
+            // A dead worker never reaches the barrier: the epoch can never
+            // complete.
+            sup.abort(epoch + 1);
+            break;
         }
         let mut fc = FaultCounters::default();
         let mut job = SyncEpochJob {
@@ -131,19 +126,17 @@ fn cpu_run<T: Task>(
             batch,
             alpha,
             epoch,
-            faults,
+            plan,
             w: &mut w,
             g: &mut g,
             prev_g: &mut prev_g,
             fc: &mut fc,
         };
         let mut epoch_secs = backend.dispatch(&mut sess, &mut job).wall_secs;
-        if let Some(plan) = faults {
-            // The barrier waits for the slowest straggler.
-            let dil = plan.sync_dilation(workers);
-            fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
-            epoch_secs *= dil;
-        }
+        // The barrier waits for the slowest straggler.
+        let dil = plan.sync_dilation(workers);
+        fc.straggler_delay_secs = epoch_secs * (dil - 1.0);
+        epoch_secs *= dil;
         opt_seconds += epoch_secs;
         // Loss evaluation is excluded from timing.
         let loss = backend.dispatch(&mut sess, &mut LossJob { task, batch, w: &w }).out;
@@ -186,21 +179,16 @@ fn gpu_run<T: Task>(
     let mut rec = Recorder::new(obs);
     let mut probe = GpuEpochProbe::new();
     let mut sup = Supervisor::new(opts, initial_loss);
-    let faults = opts.faults.active();
+    let plan = &opts.faults;
     let workers = opts.threads.max(1);
     let mut warm_epoch_cost = 0.0;
     for epoch in 0..opts.max_epochs {
-        if let Some(plan) = faults {
-            if plan.barrier_stalled(workers, epoch) {
-                sup.abort(epoch + 1);
-                break;
-            }
+        if plan.barrier_stalled(workers, epoch) {
+            sup.abort(epoch + 1);
+            break;
         }
         let mut fc = FaultCounters::default();
-        let d = match faults {
-            Some(plan) => sync_epoch_faults(plan, epoch, &mut fc),
-            None => SyncFaultDecision::none(),
-        };
+        let d = sync_epoch_faults(plan, epoch, &mut fc);
         probe.begin(&dev);
         let epoch_start = dev.elapsed_secs();
         if epoch < 2 {
@@ -226,13 +214,11 @@ fn gpu_run<T: Task>(
         if !d.stale {
             std::mem::swap(&mut g, &mut prev_g);
         }
-        if let Some(plan) = faults {
-            // The device stream stalls until the slowest participant of
-            // the synchronous step has finished.
-            let dil = plan.sync_dilation(workers);
-            fc.straggler_delay_secs = (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
-            dev.advance_secs(fc.straggler_delay_secs);
-        }
+        // The device stream stalls until the slowest participant of the
+        // synchronous step has finished.
+        let dil = plan.sync_dilation(workers);
+        fc.straggler_delay_secs = (dev.elapsed_secs() - epoch_start) * (dil - 1.0);
+        dev.advance_secs(fc.straggler_delay_secs);
         let (cycles, l2) = probe.end(&dev);
         let loss = task.loss(&mut eval, batch, &w);
         trace.push(dev.elapsed_secs(), loss);

@@ -55,7 +55,7 @@ fn sync_wall<L: LinearLoss>(
     let label = format!("BIDMach {} sync {}", task.name(), device.label());
     match device {
         DeviceKind::CpuSeq => cpu_loop(task, batch, CpuExec::seq(), device, alpha, opts, label),
-        DeviceKind::CpuPar => sgd_core::pool::with_threads(opts.threads, || {
+        DeviceKind::CpuPar => sgd_linalg::pool::with_threads(opts.threads, || {
             cpu_loop(task, batch, CpuExec::par(), device, alpha, opts, label)
         }),
         DeviceKind::Gpu => gpu_loop(task, batch, alpha, opts, label),

@@ -88,7 +88,7 @@ fn sync_wall(
         DeviceKind::CpuSeq => {
             cpu_loop(&mut sess, x, &classes, CpuExec::seq(), device, alpha, opts, label)
         }
-        DeviceKind::CpuPar => sgd_core::pool::with_threads(opts.threads, || {
+        DeviceKind::CpuPar => sgd_linalg::pool::with_threads(opts.threads, || {
             // Eigen-style backend: no small-GEMM threshold.
             cpu_loop(
                 &mut sess,

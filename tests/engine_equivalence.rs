@@ -8,10 +8,13 @@
 //! from those entry points: label, epoch count, outcome, every loss's
 //! bits, the update-conflict count, and a hash of the best model's
 //! bits. The recordings use the default `Scalar` kernel tier and a fixed
-//! thread count, so they hold on any host. Corners that race real threads (wall-clock
-//! Hogwild/Hogbatch/replicated with >1 worker) are nondeterministic by
-//! construction, so only the report shape — label, device, and a
-//! non-empty trace — is checked.
+//! thread count, so they hold on any host. Per-core replicated Hogwild
+//! races real threads but gives each worker a private replica, so it is
+//! deterministic too and pinned the same way, clean and under a fault
+//! plan. Corners whose threads share a model (wall-clock
+//! Hogwild/Hogbatch/replicated with >1 worker per model) are
+//! nondeterministic by construction, so only the report shape — label,
+//! device, and a non-empty trace — is checked.
 
 use sgd_study::core::{
     Configuration, CpuModelConfig, DeviceKind, Engine, FaultPlan, GpuAsyncOptions, Replication,
@@ -227,6 +230,48 @@ const GPU_HOGBATCH: Fingerprint = Fingerprint {
     best_model_hash: 0xb6ac7f600be8a6a5,
 };
 
+/// Per-core replicated Hogwild on `sparse()`, LR, α = 0.2, 4 threads:
+/// clean, then under [`fault_plan`].
+#[rustfmt::skip]
+const PER_CORE: [Fingerprint; 2] = [
+    Fingerprint {
+        label: "LR async cpu-par [per-core]",
+        epochs: 8,
+        outcome: RunOutcome::BudgetExhausted,
+        losses: &[
+            0x3fe62e42fefa39ee, 0x3fe4a4f16c3d764b, 0x3fe3414de5faf856,
+            0x3fe1ff881630d282, 0x3fe0dc1b2b73aa64, 0x3fdfa7a365cfb0ac,
+            0x3fddc78ad04cd917, 0x3fdc12b88394215b, 0x3fda848782ed3350,
+        ],
+        update_conflicts: None,
+        best_model_hash: 0x4adc148efa68acd8,
+    },
+    Fingerprint {
+        label: "LR async cpu-par [per-core]",
+        epochs: 8,
+        outcome: RunOutcome::BudgetExhausted,
+        losses: &[
+            0x3fe62e42fefa39ee, 0x3fe4ba77d89dfe38, 0x3fe3841742a74018,
+            0x3fe259fd67d6b13b, 0x3fe155ffc01a753f, 0x3fe054e90cb7afc7,
+            0x3fdf430ee413e52e, 0x3fde0ce7a61adac6, 0x3fdcdf51808596be,
+        ],
+        update_conflicts: None,
+        best_model_hash: 0x547cacd9583a25b0,
+    },
+];
+
+/// The mixed plan `tests/fault_determinism.rs` replays: a 3x straggler,
+/// 10 % drops, stale reads and corruption, and worker 2 dying at epoch 5.
+fn fault_plan() -> FaultPlan {
+    FaultPlan::default()
+        .with_seed(99)
+        .with_straggler(0, 3.0)
+        .with_drops(0.1)
+        .with_stale_reads(0.1)
+        .with_corruption(0.1, 0.5)
+        .with_worker_death(2, 5)
+}
+
 fn assert_fingerprint(report: &RunReport, fp: &Fingerprint) {
     assert_eq!(report.label, fp.label);
     assert_eq!(report.trace.epochs(), fp.epochs, "{}", fp.label);
@@ -364,9 +409,9 @@ fn gpu_hogbatch_matches_legacy() {
 #[test]
 fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
     // A plan that configures nothing harmful — even with a custom seed
-    // and a 1.0x "straggler" — must route every runner through its
-    // unmodified code path: times, losses, and outcomes bit-identical to
-    // a run with default options.
+    // and a 1.0x "straggler" — must make every fault decision in each
+    // runner's single update loop a no-op: times, losses, and outcomes
+    // bit-identical to a run with default options.
     let noop = FaultPlan::default().with_seed(1234).with_straggler(0, 1.0);
     assert!(noop.is_empty());
     let o = opts();
@@ -412,6 +457,36 @@ fn empty_fault_plan_is_bit_identical_on_every_deterministic_corner() {
     check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), true);
     let cfg = Configuration::new(DeviceKind::Gpu, Strategy::Hogbatch { batch_size: 16 });
     check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), true);
+    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogbatch { batch_size: 16 });
+    check(&|ro| Engine::run(&cfg, &dtask, &full, 0.2, ro), false);
+
+    let cfg = Configuration::new(DeviceKind::CpuSeq, Strategy::Hogwild);
+    check(&|ro| Engine::run(&cfg, &task, &batch, 0.2, ro), false);
+    let cfg = Configuration::new(
+        DeviceKind::CpuPar,
+        Strategy::ReplicatedHogwild { replication: Replication::PerCore },
+    );
+    check(&|ro| Engine::run(&cfg, &task, &batch, 0.2, ro), false);
+}
+
+#[test]
+fn replicated_per_core_matches_recording_clean_and_under_faults() {
+    let (xs, y) = sparse();
+    let batch = Batch::new(Examples::Sparse(&xs), &y);
+    let cfg = Configuration::new(
+        DeviceKind::CpuPar,
+        Strategy::ReplicatedHogwild { replication: Replication::PerCore },
+    );
+    let clean = Engine::run(&cfg, &lr(16), &batch, 0.2, &opts());
+    assert_fingerprint(&clean, &PER_CORE[0]);
+    assert_eq!(clean.metrics.total_faults().total_events(), 0);
+
+    let faulty =
+        Engine::run(&cfg, &lr(16), &batch, 0.2, &RunOptions { faults: fault_plan(), ..opts() });
+    assert_fingerprint(&faulty, &PER_CORE[1]);
+    let f = faulty.metrics.total_faults();
+    let counts = (f.dropped_updates, f.stale_reads, f.corrupted_updates, f.dead_workers);
+    assert_eq!(counts, (47, 60, 37, 3), "fault schedule drifted from the recording");
 }
 
 #[test]
